@@ -10,13 +10,14 @@ Two sub-commands, run from the repository root::
 
 ``compare`` prints, per workload and metric, each set's median and its
 interquartile spread as a share of the median (``statistics.quantiles``
-with n=4), and the second median's deviation from the first in the
-metric's worse direction, all against the metric's bound in
-``BENCHMARK.json``.  A spread should stay under a third of the bound
-(``setup_s`` is exempt from the spread rule, not from the deviation
-rule).  It also prints how much work per simulated hour differs across
-seeds on ``fault_day``: different seeds draw different fault streams, so
-part of that workload's spread is the input, not the machine.
+with n=4), and the deviation between the two medians, all against the
+metric's bound in ``BENCHMARK.json``.  The deviation is judged both
+ways (the larger of B against A and A against B), since either set may
+be the parent's.  A spread should stay under a third of the bound, and
+the same rule holds for every metric, ``setup_s`` too.  It also prints
+how much work per simulated hour differs across seeds on
+``fault_day``: different seeds draw different fault streams, so part of
+that workload's spread is the input, not the machine.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def compare(args) -> int:
     sets = [load_set(Path(args.set_a)), load_set(Path(args.set_b))]
     bad = 0
     print(f"{'workload':<11} {'metric':<15} {'median A':>12} {'IQR A':>7} "
-          f"{'median B':>12} {'IQR B':>7} {'worse B':>8} {'bound':>6}  verdict")
+          f"{'median B':>12} {'IQR B':>7} {'B vs A':>8} {'drift':>7} {'bound':>6}  verdict")
     for workload in [w["name"] for w in bench["workloads"]]:
         runs_a, runs_b = sets[0].get(workload, []), sets[1].get(workload, [])
         if len(runs_a) < 2 or len(runs_b) < 2:
@@ -100,19 +101,22 @@ def compare(args) -> int:
                 [r["result"]["metrics"][name]["value"] for r in runs] for runs in (runs_a, runs_b)
             ]
             (med_a, iqr_a), (med_b, iqr_b) = spread(values[0]), spread(values[1])
-            worse = (med_b - med_a) / med_a
-            if metric["better"] == "higher":
-                worse = -worse
+            change = med_b / med_a - 1.0
+            # either set may be the parent's: judge the drift both ways
+            drift = max(abs(change), abs(med_a / med_b - 1.0))
             notes = []
-            if name != "setup_s" and max(iqr_a, iqr_b) > bound:
+            if max(iqr_a, iqr_b) > bound:
                 notes.append("SPREAD>BOUND")
-            elif name != "setup_s" and max(iqr_a, iqr_b) > bound / 3:
+            elif max(iqr_a, iqr_b) > bound / 3:
                 notes.append("spread>bound/3")
-            if worse > bound:
+            if drift > bound:
                 notes.append("DRIFT>BOUND")
+            elif drift > bound / 3:
+                notes.append("drift>bound/3")
             bad += any(n.isupper() for n in notes)
+            verdict = " ".join(notes) or "ok"
             print(f"{workload:<11} {name:<15} {med_a:12.4f} {iqr_a:7.1%} {med_b:12.4f} "
-                  f"{iqr_b:7.1%} {worse:+8.1%} {bound:6.0%}  {' '.join(notes) or 'ok'}")
+                  f"{iqr_b:7.1%} {change:+8.1%} {drift:7.1%} {bound:6.0%}  {verdict}")
     print()
     work_spread(sets[0].get("fault_day", []) + sets[1].get("fault_day", []))
     print(f"\n{bad} metric(s) outside their bound")

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 e2ebench/run.py --workload tom_day --seed 0 --seconds 36 --trace 0
+    python3 e2ebench/run.py --workload fault_day --seed 0 --seconds 52 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics of ``BENCHMARK.json``;
 ``--trace 1`` measures half the window untraced and half traced and
@@ -37,52 +37,7 @@ HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 RESULTS = HERE / "results"
 
-E2E_UNITS = {
-    "setup_s": "s",
-    "peak_rss_mb": "MB",
-    "op_ms": "ms",
-    "op_tail_ms": "ms",
-    "op_cpu_ms": "ms",
-}
-
-#: per-layer metric -> unit; see per_layer() for how each is measured
-LAYER_UNITS = {
-    "sim.step_ms": "ms/op",
-    "sim.loop_self_ms": "ms/op",
-    "workload.rates_at_ms": "ms/op",
-    "migration.mpareto_ms": "ms/op",
-    "replication.step_ms": "ms/op",
-    "replication.replicas": "count/op",
-    "placement.cold_ms": "ms/op",
-    "placement.warm_ms": "ms/op",
-    "stroll.batch_solve_ms": "ms/op",
-    "stroll.targets": "count/op",
-    "stroll.matrix_builds": "count/op",
-    "stroll.warm_hits": "count/op",
-    "stroll.hit_ratio": "ratio",
-    "graphs.metric_closure_ms": "ms/op",
-    "graphs.apsp_ms": "ms",
-    "session.apply_ms": "ms/op",
-    "apsp.incremental_updates": "count/op",
-    "apsp.full_rebuilds": "count/op",
-    "apsp.incremental_ratio": "ratio",
-    "faults.degrade_ms": "ms/op",
-    "faults.evacuate_ms": "ms/op",
-    "serve.queue_ms_p50": "ms",
-    "serve.queue_ms_p99": "ms",
-    "serve.solve_ms_p50": "ms",
-    "serve.batched_frac": "ratio",
-    "serve.shed": "count/op",
-    "serve.degraded": "count/op",
-    "serve.retried": "count/op",
-    "serve.generator_late_ms_p99": "ms",
-    "serve.max_rps": "1/s",
-    "serve.latency_ms_p99": "ms",
-    "cache.hits": "count/op",
-    "cache.misses": "count/op",
-    "cache.evictions": "count/op",
-    "trace.overhead_ratio": "ratio",
-}
+BENCHMARK = HERE.parent / "BENCHMARK.json"
 
 #: span-time metrics: metric -> span name (total span CPU per operation)
 SPAN_METRICS = {
@@ -113,7 +68,7 @@ WORK_COUNTERS = (
 )
 
 #: set-up repeats: at least MIN, stop once they took SETUP_BUDGET_S, at most MAX
-SETUP_MIN, SETUP_MAX, SETUP_BUDGET_S = 3, 7, 1.5
+SETUP_MIN, SETUP_MAX, SETUP_BUDGET_S = 3, 15, 1.5
 
 
 def environment(seed: int) -> dict:
@@ -186,7 +141,7 @@ def cache_totals(window, before, after) -> dict:
     return out
 
 
-def per_layer(untraced, traced, setup_spans, window_spans, counters, caches):
+def per_layer(names, untraced, traced, setup_spans, window_spans, counters, caches):
     from tracing import summarize
 
     ops = traced.ops
@@ -196,7 +151,7 @@ def per_layer(untraced, traced, setup_spans, window_spans, counters, caches):
     def total(name) -> float:
         return summary.get(name, {}).get("total_s", 0.0)
 
-    out = dict.fromkeys(LAYER_UNITS, 0.0)
+    out = dict.fromkeys(names, 0.0)
     out.update({metric: 1000.0 * total(span) / ops for metric, span in SPAN_METRICS.items()})
     loop = summary.get("sim.simulate_day", {}).get("self_s", 0.0)
     out["sim.loop_self_ms"] = 1000.0 * loop / ops
@@ -204,7 +159,8 @@ def per_layer(untraced, traced, setup_spans, window_spans, counters, caches):
         out[metric] = counters.get(counter, 0) / ops
     builds, warm = counters.get("stroll_matrix_builds", 0), counters.get("stroll_warm_hits", 0)
     out["stroll.hit_ratio"] = warm / (warm + builds) if warm + builds else 0.0
-    out["stroll.targets"] = summary.get("stroll.batch_solve", {}).get("calls", 0) / ops
+    # sources solved: every batch_solve call solves all m sources at once
+    out["stroll.targets"] = summary.get("stroll.batch_solve", {}).get("size", 0) / ops
     updates = counters.get("apsp_incremental_updates", 0)
     rebuilds = counters.get("apsp_full_rebuilds", 0)
     out["apsp.incremental_ratio"] = (updates - rebuilds) / updates if updates else 0.0
@@ -241,7 +197,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--seconds", type=float, default=52.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--toy", action="store_true", help="tiny shapes (smoke test)")
     args = parser.parse_args(argv)
@@ -268,6 +224,11 @@ def main(argv=None) -> int:
               f"choose from {sorted(WORKLOADS)}", file=sys.stderr)
         return 2
     pins = json.loads((HERE / "pins.json").read_text())
+    # metric names and units, as BENCHMARK.json declares them
+    declared = {
+        kind: {m["name"]: m["unit"] for m in json.loads(BENCHMARK.read_text())[kind]}
+        for kind in ("end_to_end", "per_layer")
+    }
     RESULTS.mkdir(exist_ok=True)
     original_cache = get_compute_cache()
     env = environment(args.seed)
@@ -289,7 +250,7 @@ def main(argv=None) -> int:
                 for name in WORK_COUNTERS
             }
             metrics = end_to_end(workload, window, setups)
-            units = E2E_UNITS
+            units = declared["end_to_end"]
             windows = [window]
         else:
             untraced = workload.measure(args.seconds / 2)
@@ -305,11 +266,11 @@ def main(argv=None) -> int:
             finally:
                 tracer.uninstall()
             counters = {k: v - counters0.get(k, 0) for k, v in counters1.items()}
+            units = declared["per_layer"]
             metrics, summary = per_layer(
-                untraced, traced, tracer.spans[:mark], tracer.spans[mark:],
+                units, untraced, traced, tracer.spans[:mark], tracer.spans[mark:],
                 counters, cache_totals(traced, report0, report1),
             )
-            units = LAYER_UNITS
             windows = [untraced, traced]
             record["spans"] = summary
             tracer.dump(RESULTS / f"{args.workload}-seed{args.seed}-spans.json")

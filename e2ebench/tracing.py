@@ -48,9 +48,15 @@ METHODS = (
     ("repro.session", "SolverSession", "place_many", "session.place_many"),
 )
 
+#: span name -> the work one call did, read from its arguments (summed
+#: per name by :func:`summarize`): ``batch_solve`` solves every source
+SIZES = {
+    "stroll.batch_solve": lambda args: args[0].m,
+}
+
 
 class Span:
-    __slots__ = ("name", "start", "end", "cpu", "parent", "ctx", "child_cpu")
+    __slots__ = ("name", "start", "end", "cpu", "parent", "ctx", "child_cpu", "size")
 
     def __init__(self, name, start, parent, ctx):
         self.name = name
@@ -60,6 +66,7 @@ class Span:
         self.parent = parent
         self.ctx = ctx
         self.child_cpu = 0.0
+        self.size = 0
 
 
 class Tracer:
@@ -97,6 +104,7 @@ class Tracer:
         """
         local = self._local
         spans = self.spans
+        size = SIZES.get(name)
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
@@ -106,6 +114,8 @@ class Tracer:
             parent = stack[-1] if stack else None
             ctx = parent.ctx if parent is not None else self._resolve_ctx(args)
             span = Span(name, time.perf_counter(), parent, ctx)
+            if size is not None:
+                span.size = size(args)
             spans.append(span)
             stack.append(span)
             before = instrument.counters().get(split_on, 0) if split_on else 0
@@ -213,6 +223,7 @@ class Tracer:
                 "cpu": s.cpu,
                 "parent": index.get(id(s.parent)) if s.parent is not None else None,
                 "ctx": s.ctx,
+                "size": s.size,
             }
             for s in self.spans
         ]
@@ -221,7 +232,7 @@ class Tracer:
 
 
 def summarize(spans) -> dict:
-    """Per span name: calls, total and self CPU seconds, median call."""
+    """Per span name: calls, total and self CPU seconds, median call, work size."""
     for span in spans:
         span.child_cpu = 0.0
     for span in spans:
@@ -236,6 +247,7 @@ def summarize(spans) -> dict:
             "total_s": sum(s.cpu for s in group),
             "self_s": sum(max(0.0, s.cpu - s.child_cpu) for s in group),
             "median_s": statistics.median(s.cpu for s in group),
+            "size": sum(s.size for s in group),
         }
         for name, group in sorted(by_name.items())
     }

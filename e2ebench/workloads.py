@@ -19,9 +19,12 @@ which layer metric should move which end-to-end metric.
 from __future__ import annotations
 
 import asyncio
+import gc
 import hashlib
 import json
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,6 +229,9 @@ class _DayWorkload(Workload):
                 failed += self.shape["hours"]
                 self.errors.append(f"day {days}: {exc!r}")
             days += 1
+            # free the day's session and caches now: left to the cyclic
+            # collector, peak RSS varied by ~35 MB with when it last ran
+            gc.collect()
             if time.perf_counter() >= deadline:
                 break
         wall, cpu = time.perf_counter() - wall0, CPU() - cpu0
@@ -364,9 +370,14 @@ class FaultDay(_DayWorkload):
         self.errors = []
 
     def setup(self):
-        set_compute_cache(ComputeCache())
+        # what every day starts with: the fabric and its APSP, a cold
+        # session, and the day's TOP placement (Algorithm 3 at hour 1)
+        cache = ComputeCache()
+        set_compute_cache(cache)
         self.topology = fat_tree(self.shape["k"])
         self.topology.graph.distances
+        SolverSession(self.topology, cache=cache)
+        initial_placement(self.topology, self.flows, self.shape["n"], self.rates, cache=cache)
 
     def _policy(self):
         return TomReplicationPolicy(
@@ -546,12 +557,16 @@ class ServeOpen(Workload):
             pairs = shape["large"] if p % 4 == 3 else shape["small"]
             flows = place_vm_pairs(topology, pairs, seed=s)
             self.payloads.append(flows.with_rates(model.sample(pairs, rng=s)))
-        # offline reference answers from an independent session and cache
-        offline = SolverSession(topology, cache=ComputeCache())
-        self.expected_place = [
-            offline.place(flows, self._n(p)) for p, flows in enumerate(self.payloads)
-        ]
-        self._offline = offline
+        # offline reference placements (migrations start from them), solved
+        # in a child process: the reference session's memory must not
+        # count in this process's peak RSS
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+            ns = [self._n(p) for p in range(len(self.payloads))]
+            self.expected_place = pool.submit(
+                _offline_places, topology, self.payloads, ns
+            ).result()
+        self._offline = None
         self.expected_migrate: dict = {}
         self.loop = asyncio.new_event_loop()
         self.service = None
@@ -725,6 +740,8 @@ class ServeOpen(Workload):
         kind, p, q = self._plan(i)
         if kind == "place":
             return self.expected_place[p]
+        if self._offline is None:  # only once the window's peak RSS is read
+            self._offline = SolverSession(self.topology, cache=ComputeCache())
         if (p, q) not in self.expected_migrate:
             self.expected_migrate[(p, q)] = self._offline.migrate(
                 self.expected_place[q].placement, self.payloads[p],
@@ -749,6 +766,12 @@ class ServeOpen(Workload):
              f"{checked} served answers replayed offline, {len(wrong)} differ"),
             ("ladder_request_errors", len(errors), f"{len(errors)} errored"),
         ]
+
+
+def _offline_places(topology, payloads, ns):
+    """Offline answers of an independent session and cache, one per payload."""
+    session = SolverSession(topology, cache=ComputeCache())
+    return [session.place(flows, n) for flows, n in zip(payloads, ns)]
 
 
 WORKLOADS = {cls.name: cls for cls in (TomDay, FaultDay, ColdTop, ServeOpen)}
