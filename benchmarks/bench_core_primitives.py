@@ -3,8 +3,9 @@
 Unlike the figure benchmarks (which run an experiment once and attach its
 table), these use pytest-benchmark's statistical timing on the kernels
 the profiling in DESIGN.md §7 identified as hot: the all-pairs
-shortest-path computation, the vectorized stroll DP, the full Algorithm 3
-placement, the mPareto migration and the min-cost-flow solver.
+shortest-path computation, the vectorized stroll DP (one target, and the
+whole target-blocked stroll matrix), the full Algorithm 3 placement, the
+mPareto migration and the min-cost-flow solver.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.migration import mpareto_migration
 from repro.core.placement import dp_placement
-from repro.core.stroll import StrollEngine
+from repro.core.stroll import StrollEngine, stroll_matrix
 from repro.flow.mincostflow import solve_transportation
 from repro.graphs.metric_closure import metric_closure
 from repro.topology.fattree import fat_tree
@@ -51,6 +52,14 @@ def test_stroll_engine_batch_k8(benchmark, k8):
 
     costs, _ = benchmark(solve)
     assert np.isfinite(costs[1:]).all()
+
+
+def test_stroll_matrix_k8_n5(benchmark, k8):
+    """Algorithm 3's whole (ingress, egress) stroll matrix for n=5 (3 interior)."""
+    closure = metric_closure(k8.graph, k8.switches)
+    costs, edges = benchmark(stroll_matrix, closure, 3, max_edges=3 + 1 + 16)
+    off_diagonal = ~np.eye(closure.shape[0], dtype=bool)
+    assert np.isfinite(costs[off_diagonal]).all() and (edges[off_diagonal] >= 4).all()
 
 
 def test_dp_placement_k8_n7(benchmark, k8, workload):

@@ -19,6 +19,10 @@ retried with deterministic backoff, hung or dead workers lose only the
 work in flight, and with ``--resume`` completed tasks are checkpointed to
 an append-only journal so a killed run picks up where it stopped — with
 output bit-identical to an uninterrupted run.
+
+Exit codes: 0 on success, 1 when a command fails with a
+:class:`~repro.errors.ReproError` (one ``error: ...`` line on stderr, no
+traceback), 2 for a malformed command line (argparse usage message).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.errors import ReproError
 from repro.experiments import SCALES, list_experiments, run_experiment
 from repro.runtime.instrument import format_report
 from repro.runtime.journal import Journal
@@ -598,12 +603,19 @@ def _run_one(
         print(f"wrote {json_path}", file=out)
 
 
+#: exit code of a command that failed with a ReproError
+EXIT_ERROR = 1
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         return _dispatch(build_parser().parse_args(argv), out)
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def _run_verify(args, out) -> int:

@@ -7,9 +7,10 @@ Algorithm 3 evaluates every ordered pair, pricing the stroll with the
 Algorithm 2 DP.
 
 The paper states Algorithm 3 as ``O(n·|V|^6)`` because it re-runs the DP
-per pair; this implementation amortizes one :class:`StrollEngine` per
-*egress* (the DP tables depend only on the target) and batch-solves all
-ingresses against it at once — ``O(n·|V|^3)`` overall.
+per pair; this implementation runs the DP once per *egress* (the DP tables
+depend only on the target) and solves all ingresses against it at once —
+``O(n·|V|^3)`` overall — for a block of egresses per min-plus step
+(:func:`repro.core.stroll.stroll_matrix`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro._compat import legacy_signature
 from repro.core.costs import CostContext, validate_placement
-from repro.core.stroll import StrollEngine, dp_stroll
+from repro.core.stroll import StrollEngine, dp_stroll, stroll_matrix
 from repro.core.types import PlacementResult
 from repro.errors import InfeasibleError, PlacementError
 from repro.graphs.metric_closure import metric_closure
@@ -135,8 +136,8 @@ def _dp_placement(
     lam = ctx.total_rate
     interior = n - 2
 
-    # b_cost[s, t] = cost of the best (n-2)-distinct stroll s -> t.  One
-    # engine per egress t prices all ingresses at once.  The whole matrix
+    # b_cost[s, t] = cost of the best (n-2)-distinct stroll s -> t.  The
+    # DP toward egress t prices all ingresses at once.  The whole matrix
     # depends only on (topology weights, candidate set, n, mode) — not on
     # traffic rates — so it is cached per topology: in the dynamic
     # simulator Algorithm 3 runs every hour and reuses the DP wholesale.
@@ -279,18 +280,11 @@ def _build_stroll_matrix(
     max_edges: int,
     closure: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    num_sw = sw.size
     count("stroll_matrix_builds")
     with Timer.timed("stroll_matrix"):
         if closure is None:
             closure = metric_closure(topology.graph, sw)
-        b_cost = np.full((num_sw, num_sw), np.inf)
-        b_edges = np.zeros((num_sw, num_sw), dtype=np.int64)
-        for t in range(num_sw):
-            engine = StrollEngine(closure, t, mode=mode, max_edges=max_edges)
-            costs, edges = engine.batch_solve(interior)
-            b_cost[:, t] = costs
-            b_edges[:, t] = edges
+        b_cost, b_edges = stroll_matrix(closure, interior, mode=mode, max_edges=max_edges)
         np.fill_diagonal(b_cost, np.inf)  # ingress and egress must differ
         for arr in (closure, b_cost, b_edges):
             arr.setflags(write=False)

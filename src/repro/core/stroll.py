@@ -30,6 +30,8 @@ verified against :func:`dp_stroll_reference`).
 loops; :class:`StrollEngine` vectorizes each DP layer as a masked
 min-plus matrix step and exposes batch solving toward a fixed target so
 Algorithm 3 can amortize one DP run across every candidate ingress.
+:func:`stroll_matrix` runs that DP toward a block of targets per step,
+which is how Algorithm 3 prices every (ingress, egress) pair.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ import numpy as np
 
 from repro.errors import InfeasibleError, SolverError
 
-__all__ = ["StrollResult", "StrollEngine", "dp_stroll", "dp_stroll_reference"]
+__all__ = [
+    "StrollResult", "StrollEngine", "stroll_matrix", "dp_stroll", "dp_stroll_reference",
+]
 
 _MODES = ("second-best", "paper")
 
@@ -117,6 +121,235 @@ def _check_inputs(closure: np.ndarray, source: int, target: int, n: int) -> np.n
     return closure
 
 
+def _check_closure(closure: np.ndarray, mode: str) -> np.ndarray:
+    closure = np.asarray(closure, dtype=np.float64)
+    if closure.ndim != 2 or closure.shape[0] != closure.shape[1]:
+        raise SolverError(f"closure must be square, got shape {closure.shape}")
+    if mode not in _MODES:
+        raise SolverError(f"mode must be one of {_MODES}, got {mode!r}")
+    return closure
+
+
+def _edge_guard(m: int, max_edges: int | None) -> int:
+    # a walk can always reach n distinct nodes within n + m edges; the
+    # default guard is generous so hitting it indicates a logic error.
+    return max_edges if max_edges is not None else 2 * m + 64
+
+
+#: elements per ``(T, m, m)`` array a target block may allocate (~2 MB of
+#: float64): 40 targets per block at m=80, 2 at m=320
+_BLOCK_ELEMENTS = 1 << 18
+#: a scanned layer is computed only for its pending pairs while they are at
+#: most 1/_PARTIAL_SHARE of the block's pairs
+_PARTIAL_SHARE = 4
+
+
+class _TargetBlock:
+    """The e-edge stroll DP toward a block of ``T`` targets at once.
+
+    Layer ``e`` (list index ``e - 1``) holds ``(T, m)`` arrays: row ``i``
+    is the best and second-best first step of an exactly-``e``-edge
+    ``u → targets[i]`` stroll for every ``u``.  Each layer is one masked
+    ``(T, m, m)`` min-plus step, and :meth:`scan` runs the successor-chain
+    walk and the distinct-interior count over every pending
+    ``(target, source)`` pair of the block together.  Rows never interact,
+    so row ``i`` is bit-identical to a one-target block of ``targets[i]``.
+    """
+
+    def __init__(self, closure: np.ndarray, targets: np.ndarray, mode: str) -> None:
+        self.closure = closure
+        self.targets = np.asarray(targets, dtype=np.int64)
+        self.mode = mode
+        num, m = self.targets.size, closure.shape[0]
+        rows = np.arange(num)
+        cost1 = np.ascontiguousarray(closure[:, self.targets].T)
+        cost1[rows, self.targets] = np.inf  # a 1-edge stroll t -> t is a self-loop
+        succ1 = np.repeat(self.targets[:, None], m, axis=1)
+        succ1[rows, self.targets] = -1
+        self.cost1: list[np.ndarray] = [cost1]
+        self.succ1: list[np.ndarray] = [succ1]
+        self.cost2: list[np.ndarray] = [np.full((num, m), np.inf)]
+        self.succ2: list[np.ndarray] = [np.full((num, m), -1, dtype=np.int64)]
+
+    def row(self, i: int) -> _TargetBlock:
+        """Target ``i`` alone, sharing the layers grown so far (as views)."""
+        block = _TargetBlock(self.closure, self.targets[i : i + 1], self.mode)
+        for name in ("cost1", "succ1", "cost2", "succ2"):
+            setattr(block, name, [layer[i : i + 1] for layer in getattr(self, name)])
+        return block
+
+    def _relax(
+        self, step: np.ndarray, blk: np.ndarray, src: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The next layer's ``(cost1, succ1, cost2, succ2)`` for pairs ``r``.
+
+        Row ``r`` of ``step`` belongs to the pair ``(blk[r], src[r])`` and
+        holds ``closure[src[r], w] + cost1[-1][blk[r], w]`` on entry: the
+        cost of stepping ``src[r] -> w`` and continuing optimally toward
+        ``targets[blk[r]]``.  ``step`` is overwritten.
+        """
+        closure = self.closure
+        prev_c1, prev_s1, prev_c2 = self.cost1[-1], self.succ1[-1], self.cost2[-1]
+        rows = np.arange(src.size)
+        # a continuation from w whose stored first step returns to the row's
+        # source is an immediate backtrack
+        index = np.full(prev_c1.shape, -1, dtype=np.int64)
+        index[blk, src] = rows
+        wb, cols = np.nonzero(np.isfinite(prev_c1))
+        back = prev_s1[wb, cols]
+        hit = index[wb, back]
+        keep = hit >= 0
+        wb, cols, back, hit = wb[keep], cols[keep], back[keep], hit[keep]
+        if self.mode == "paper":
+            # pseudocode: reject w outright when its stored successor is u
+            step[hit, cols] = np.inf
+        else:
+            # strengthened DP: fall back to w's second-best continuation
+            step[hit, cols] = closure[back, cols] + prev_c2[wb, cols]
+        step[rows, self.targets[blk]] = np.inf  # target is never an intermediate
+        step[rows, src] = np.inf  # no self-steps
+
+        # argmin lands on a row's first minimum, or on its first NaN, so the
+        # value it points at is exactly the row's min
+        succ1 = step.argmin(axis=1)
+        cost1 = step[rows, succ1]
+        finite = np.isfinite(cost1)
+        succ1[~finite] = -1
+        # second-best first step (must differ from the best first step)
+        step[rows[finite], succ1[finite]] = np.inf
+        succ2 = step.argmin(axis=1)
+        cost2 = step[rows, succ2]
+        succ2[~np.isfinite(cost2)] = -1
+        return cost1, succ1, cost2, succ2
+
+    def grow(self) -> None:
+        """Append the next layer for every target of the block."""
+        num, m = self.cost1[-1].shape
+        step = (self.closure[None, :, :] + self.cost1[-1][:, None, :]).reshape(num * m, m)
+        blk = np.repeat(np.arange(num), m)
+        src = np.tile(np.arange(m), num)
+        layer = self._relax(step, blk, src)
+        for stored, arr in zip((self.cost1, self.succ1, self.cost2, self.succ2), layer):
+            stored.append(arr.reshape(num, m))
+
+    def _top_rows(self, blk: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(cost1, succ1)`` of the next layer for the given pairs only."""
+        step = self.closure[src] + self.cost1[-1][blk]
+        return self._relax(step, blk, src)[:2]
+
+    def walks(self, blk: np.ndarray, sources: np.ndarray, first: np.ndarray, e: int) -> np.ndarray:
+        """The ``e``-edge walks of the ``(blk[j], sources[j])`` pairs, one per row.
+
+        ``first`` is each walk's first step (layer ``e``'s best successor,
+        which never backtracks); later steps follow the best stored
+        successor, falling back to the second-best when the best would
+        immediately backtrack.
+        """
+        walks = np.empty((sources.size, e + 1), dtype=np.int64)
+        walks[:, 0] = sources
+        walks[:, 1] = first
+        prev, node = sources, first
+        for step in range(2, e + 1):
+            layer = e - step
+            nxt = self.succ1[layer][blk, node]
+            clash = nxt == prev
+            if np.any(clash):
+                nxt = np.where(clash, self.succ2[layer][blk, node], nxt)
+            prev = node
+            node = nxt
+            walks[:, step] = node
+        return walks
+
+    def scan(self, n: int, scan_limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Algorithm 2's outer loop for every (target, source) pair at once.
+
+        Returns ``(costs, edges, pending)`` of shape ``(T, m)``: the cost
+        and ``e`` of the first exactly-``e``-edge stroll (``e`` in
+        ``n+1 .. scan_limit``) whose walk visits at least ``n`` distinct
+        intermediates, and the mask of pairs no scanned layer finished.
+
+        Layer ``e`` is grown for the whole block only when enough pairs
+        are still pending; for a few (typically the last scanned layer,
+        which most pairs never reach) just their rows are computed, and
+        the full layer is grown only if the scan goes on past it.
+        """
+        shape = self.cost1[0].shape
+        costs = np.full(shape, np.inf)
+        edges = np.full(shape, -1, dtype=np.int64)
+        pending = np.ones(shape, dtype=bool)
+        e = n + 1
+        while e <= scan_limit and np.any(pending):
+            while len(self.cost1) < e - 1:
+                self.grow()
+            blk, src = np.nonzero(pending)
+            if len(self.cost1) < e and src.size * _PARTIAL_SHARE <= pending.size:
+                layer_cost, first = self._top_rows(blk, src)
+            else:
+                if len(self.cost1) < e:
+                    self.grow()
+                layer_cost = self.cost1[e - 1][blk, src]
+                first = self.succ1[e - 1][blk, src]
+            live = np.isfinite(layer_cost)
+            if np.any(live):
+                blk, src, layer_cost = blk[live], src[live], layer_cost[live]
+                walks = self.walks(blk, src, first[live], e)
+                # distinct intermediates, excluding each walk's own source
+                # and its target
+                interior = walks[:, 1:-1].copy()
+                interior[interior == walks[:, :1]] = -1
+                interior[interior == self.targets[blk][:, None]] = -1
+                interior.sort(axis=1)
+                fresh = interior[:, 1:] != interior[:, :-1]
+                counts = fresh.sum(axis=1) + 1
+                counts -= (interior[:, :1] == -1).ravel()  # drop the -1 bucket
+                ok = counts >= n
+                blk, src = blk[ok], src[ok]
+                costs[blk, src] = layer_cost[ok]
+                edges[blk, src] = e
+                pending[blk, src] = False
+            e += 1
+        return costs, edges, pending
+
+
+def stroll_matrix(
+    closure: np.ndarray, n: int, mode: str = "second-best", max_edges: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`StrollEngine.batch_solve` toward every target of ``closure``.
+
+    Returns ``(costs, edges)`` with ``costs[s, t]``/``edges[s, t]`` equal
+    to ``StrollEngine(closure, t, mode, max_edges).batch_solve(n)[k][s]``
+    byte for byte.  The targets are processed in blocks sized so each
+    ``(T, m, m)`` layer step stays within ``_BLOCK_ELEMENTS``; pairs the
+    scan window leaves unfinished go through :meth:`StrollEngine.solve`
+    on the block's own layers.
+    """
+    closure = _check_closure(closure, mode)
+    m = closure.shape[0]
+    costs = np.full((m, m), np.inf)
+    edges = np.full((m, m), -1, dtype=np.int64)
+    scan_limit = min(n + 1 + StrollEngine.scan_slack, _edge_guard(m, max_edges))
+    size = max(1, _BLOCK_ELEMENTS // max(m * m, 1))
+    for first in range(0, m, size):
+        targets = np.arange(first, min(first + size, m))
+        block = _TargetBlock(closure, targets, mode)
+        block_costs, block_edges, pending = block.scan(n, scan_limit)
+        costs[:, targets] = block_costs.T
+        edges[:, targets] = block_edges.T
+        if np.any(pending):
+            # the stragglers' repair scans every layer up to scan_limit
+            while len(block.cost1) < scan_limit:
+                block.grow()
+        for i in np.flatnonzero(pending.any(axis=1)):
+            target = int(targets[i])
+            engine = StrollEngine(closure, target, mode=mode, max_edges=max_edges)
+            engine._block = block.row(i)
+            for source in np.flatnonzero(pending[i]):
+                costs[source, target], edges[source, target] = engine._solve_or_skip(
+                    int(source), n
+                )
+    return costs, edges
+
+
 class StrollEngine:
     """Incremental e-edge stroll DP toward a fixed ``target``.
 
@@ -124,7 +357,9 @@ class StrollEngine:
     second-best first steps of an exactly-``e``-edge ``u → target``
     stroll (``cost1/succ1`` and ``cost2/succ2``; the two strolls differ
     in their first step).  Layers are grown on demand, so asking for
-    results from many sources (Algorithm 3) shares all the DP work.
+    results from many sources (Algorithm 3) shares all the DP work.  The
+    layers are a one-target :class:`_TargetBlock`, the same kernel
+    :func:`stroll_matrix` runs for a block of targets.
     """
 
     #: how many edge counts beyond ``n + 1`` the outer loop scans before
@@ -138,71 +373,23 @@ class StrollEngine:
         mode: str = "second-best",
         max_edges: int | None = None,
     ) -> None:
-        closure = np.asarray(closure, dtype=np.float64)
-        if closure.ndim != 2 or closure.shape[0] != closure.shape[1]:
-            raise SolverError(f"closure must be square, got shape {closure.shape}")
-        if mode not in _MODES:
-            raise SolverError(f"mode must be one of {_MODES}, got {mode!r}")
+        closure = _check_closure(closure, mode)
         self.closure = closure
         self.m = closure.shape[0]
         if not (0 <= target < self.m):
             raise SolverError(f"target {target} out of range for {self.m} nodes")
         self.target = int(target)
         self.mode = mode
-        # a walk can always reach n distinct nodes within n + m edges; the
-        # default guard is generous so hitting it indicates a logic error.
-        self.max_edges = max_edges if max_edges is not None else 2 * self.m + 64
-
-        cost1 = closure[:, target].astype(np.float64, copy=True)
-        cost1[target] = np.inf  # a 1-edge stroll target->target is a self-loop
-        succ1 = np.full(self.m, target, dtype=np.int64)
-        succ1[target] = -1
-        cost2 = np.full(self.m, np.inf)
-        succ2 = np.full(self.m, -1, dtype=np.int64)
-        # layer index 0 == e = 1
-        self._cost1: list[np.ndarray] = [cost1]
-        self._succ1: list[np.ndarray] = [succ1]
-        self._cost2: list[np.ndarray] = [cost2]
-        self._succ2: list[np.ndarray] = [succ2]
-        self._diag = np.arange(self.m)
+        self.max_edges = _edge_guard(self.m, max_edges)
+        self._block = _TargetBlock(closure, np.asarray([self.target]), mode)
 
     @property
     def num_layers(self) -> int:
         """Largest ``e`` currently computed."""
-        return len(self._cost1)
+        return len(self._block.cost1)
 
     def _grow_layer(self) -> None:
-        prev_c1, prev_s1 = self._cost1[-1], self._succ1[-1]
-        prev_c2 = self._cost2[-1]
-        closure = self.closure
-        # M[u, w] = cost of stepping u -> w then continuing optimally while
-        # avoiding an immediate return to u
-        step = closure + prev_c1[None, :]
-        cols = np.flatnonzero(np.isfinite(prev_c1))
-        rows = prev_s1[cols]
-        if self.mode == "paper":
-            # pseudocode: reject w outright when its stored successor is u
-            step[rows, cols] = np.inf
-        else:
-            # strengthened DP: fall back to w's second-best continuation
-            step[rows, cols] = closure[rows, cols] + prev_c2[cols]
-        step[:, self.target] = np.inf  # target is never an intermediate
-        step[self._diag, self._diag] = np.inf  # no self-steps
-
-        cost1 = step.min(axis=1)
-        succ1 = step.argmin(axis=1).astype(np.int64)
-        succ1[~np.isfinite(cost1)] = -1
-        # second-best first step (must differ from the best first step)
-        finite = np.isfinite(cost1)
-        step[self._diag[finite], succ1[finite]] = np.inf
-        cost2 = step.min(axis=1)
-        succ2 = step.argmin(axis=1).astype(np.int64)
-        succ2[~np.isfinite(cost2)] = -1
-
-        self._cost1.append(cost1)
-        self._succ1.append(succ1)
-        self._cost2.append(cost2)
-        self._succ2.append(succ2)
+        self._block.grow()
 
     def ensure_layers(self, e: int) -> None:
         if e > self.max_edges:
@@ -215,7 +402,7 @@ class StrollEngine:
     def cost_at(self, source: int, e: int) -> float:
         """Min cost of an exactly-``e``-edge ``source → target`` stroll."""
         self.ensure_layers(e)
-        return float(self._cost1[e - 1][source])
+        return float(self._block.cost1[e - 1][0, source])
 
     def walk_at(self, source: int, e: int) -> np.ndarray:
         """Reconstruct the ``e``-edge stroll from ``source`` (inclusive).
@@ -226,7 +413,7 @@ class StrollEngine:
         matches :meth:`cost_at`).
         """
         self.ensure_layers(e)
-        if not np.isfinite(self._cost1[e - 1][source]):
+        if not np.isfinite(self._block.cost1[e - 1][0, source]):
             raise InfeasibleError(
                 f"no {e}-edge stroll from {source} to {self.target} exists"
             )
@@ -235,9 +422,9 @@ class StrollEngine:
         node = int(source)
         for remaining in range(e, 0, -1):
             layer = remaining - 1
-            nxt = int(self._succ1[layer][node])
+            nxt = int(self._block.succ1[layer][0, node])
             if nxt == prev:
-                nxt = int(self._succ2[layer][node])
+                nxt = int(self._block.succ2[layer][0, node])
                 if nxt < 0:
                     raise SolverError("stroll reconstruction hit a dead end")
             prev = node
@@ -258,54 +445,20 @@ class StrollEngine:
         Successor chaining and the distinct-intermediate count are fully
         vectorized per layer.
         """
-        m = self.m
-        costs = np.full(m, np.inf)
-        edges = np.full(m, -1, dtype=np.int64)
-        pending = np.ones(m, dtype=bool)
         scan_limit = min(n + 1 + self.scan_slack, self.max_edges)
-        e = n + 1
-        while np.any(pending) and e <= scan_limit:
-            self.ensure_layers(e)
-            layer_cost = self._cost1[e - 1]
-            active = np.flatnonzero(pending & np.isfinite(layer_cost))
-            if active.size:
-                walks = np.empty((active.size, e + 1), dtype=np.int64)
-                walks[:, 0] = active
-                prev = np.full(active.size, -1, dtype=np.int64)
-                node = active.copy()
-                for step in range(1, e + 1):
-                    layer = e - step
-                    nxt = self._succ1[layer][node]
-                    clash = nxt == prev
-                    if np.any(clash):
-                        nxt = np.where(clash, self._succ2[layer][node], nxt)
-                    prev = node
-                    node = nxt
-                    walks[:, step] = node
-                # distinct intermediates, excluding each walk's own source
-                # and the shared target
-                interior = walks[:, 1:-1].copy()
-                interior[interior == walks[:, :1]] = -1
-                interior[interior == self.target] = -1
-                interior.sort(axis=1)
-                fresh = interior[:, 1:] != interior[:, :-1]
-                counts = fresh.sum(axis=1) + 1
-                counts -= (interior[:, :1] == -1).ravel()  # drop the -1 bucket
-                ok = counts >= n
-                done = active[ok]
-                costs[done] = layer_cost[done]
-                edges[done] = e
-                pending[done] = False
-            e += 1
+        costs, edges, pending = (a[0] for a in self._block.scan(n, scan_limit))
         # stragglers: the per-source repair path (rare — cheap-cycle orbits)
         for source in np.flatnonzero(pending):
-            try:
-                result = self.solve(int(source), n)
-            except (InfeasibleError, SolverError):
-                continue  # stays at (inf, -1): no stroll from this source
-            costs[source] = result.cost
-            edges[source] = result.num_edges
+            costs[source], edges[source] = self._solve_or_skip(int(source), n)
         return costs, edges
+
+    def _solve_or_skip(self, source: int, n: int) -> tuple[float, int]:
+        """``(cost, num_edges)`` of :meth:`solve`, or ``(inf, -1)`` if none."""
+        try:
+            result = self.solve(source, n)
+        except (InfeasibleError, SolverError):
+            return np.inf, -1  # no stroll from this source
+        return result.cost, result.num_edges
 
     def _repair_walk(self, walk: np.ndarray, n: int) -> np.ndarray:
         """Greedy insertion repair: add fresh nodes until ``n`` distinct.
@@ -318,34 +471,42 @@ class StrollEngine:
         ``c(a, x) + c(x, b) − c(a, b)`` between some consecutive pair.
         Each insertion adds exactly one distinct node, so termination is
         immediate and the detour premium is bounded by the insertion costs.
+
+        Each insertion prices every (candidate, position) pair as one
+        matrix.  A candidate's best position is its row's first minimum,
+        or its first NaN, which makes the candidate ineligible; among the
+        candidates whose best is ``< inf`` the lowest delta wins, then the
+        lowest candidate, then the lowest position.
         """
         closure = self.closure
-        nodes = list(int(v) for v in walk)
-        endpoints = {nodes[0], self.target}
-        visited = set(nodes)
-        missing = n - count_needed(nodes, endpoints)
-        candidates = [
-            v for v in range(self.m) if v not in visited and v not in endpoints
-        ]
-        if missing > len(candidates):
+        nodes = walk.astype(np.int64)
+        endpoints = {int(nodes[0]), self.target}
+        missing = n - count_needed(nodes.tolist(), endpoints)
+        free = np.ones(self.m, dtype=bool)
+        free[nodes] = False
+        free[list(endpoints)] = False
+        candidates = np.flatnonzero(free)
+        if missing > candidates.size:
             raise InfeasibleError(
                 f"cannot repair walk to {n} distinct nodes: only "
-                f"{len(candidates)} unvisited candidates remain"
+                f"{candidates.size} unvisited candidates remain"
             )
         for _ in range(missing):
-            best = (np.inf, -1, -1)  # (delta, candidate, position)
-            arr = np.asarray(nodes)
-            for x in candidates:
-                deltas = closure[arr[:-1], x] + closure[x, arr[1:]] - closure[arr[:-1], arr[1:]]
-                pos = int(np.argmin(deltas))
-                if deltas[pos] < best[0]:
-                    best = (float(deltas[pos]), x, pos)
-            _, x, pos = best
-            if x < 0:
-                raise SolverError("repair found no insertable node")  # pragma: no cover
-            nodes.insert(pos + 1, x)
-            candidates.remove(x)
-        return np.asarray(nodes, dtype=np.int64)
+            a, b = nodes[:-1], nodes[1:]
+            deltas = (
+                closure[a[None, :], candidates[:, None]]
+                + closure[candidates[:, None], b[None, :]]
+                - closure[a, b][None, :]
+            )
+            pos = deltas.argmin(axis=1)
+            best = deltas[np.arange(candidates.size), pos]
+            eligible = best < np.inf
+            if not np.any(eligible):
+                raise SolverError("repair found no insertable node")
+            pick = int(np.argmin(np.where(eligible, best, np.inf)))
+            nodes = np.insert(nodes, pos[pick] + 1, candidates[pick])
+            candidates = np.delete(candidates, pick)
+        return nodes
 
     def solve(self, source: int, n: int) -> StrollResult:
         """Algorithm 2's outer loop: grow ``e`` until ``n`` distinct nodes.
@@ -360,21 +521,21 @@ class StrollEngine:
         fallback_cost = np.inf
         for e in range(n + 1, min(n + 1 + self.scan_slack, self.max_edges) + 1):
             self.ensure_layers(e)
-            if not np.isfinite(self._cost1[e - 1][source]):
+            if not np.isfinite(self._block.cost1[e - 1][0, source]):
                 continue
             walk = self.walk_at(source, e)
             distinct = _collect_distinct(walk, n)
             if distinct.size >= n:
                 return StrollResult(
                     walk=walk,
-                    cost=float(self._cost1[e - 1][source]),
+                    cost=float(self._block.cost1[e - 1][0, source]),
                     distinct=distinct[:n],
                     num_edges=e,
                     extra={"grown_layers": self.num_layers, "mode": self.mode},
                 )
             if fallback is None:
                 fallback = walk
-                fallback_cost = float(self._cost1[e - 1][source])
+                fallback_cost = float(self._block.cost1[e - 1][0, source])
         if fallback is None:
             raise SolverError(
                 f"no stroll from {source} to {self.target} exists within "

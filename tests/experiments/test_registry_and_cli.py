@@ -1,13 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_ERROR, main
 from repro.errors import ReproError
 from repro.experiments import get_experiment, list_experiments
 from repro.experiments.common import ExperimentResult, check_scale
 
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 EXPECTED_EXPERIMENTS = {
     "fig03_example",
@@ -93,7 +98,24 @@ class TestCli:
         payload = json.loads(json_path.read_text())
         assert payload["experiment"] == "fig08_diurnal"
 
-    def test_run_unknown_fails(self):
+    def test_run_unknown_fails(self, capsys):
         out = io.StringIO()
-        with pytest.raises(ReproError):
-            main(["run", "nonexistent"], out=out)
+        assert main(["run", "nonexistent"], out=out) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown experiment 'nonexistent'")
+        assert err.count("\n") == 1
+
+    def test_error_exits_without_traceback(self):
+        """A ReproError reaches the shell as one line and exit code 1."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", "fig11_dynamic"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == EXIT_ERROR
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: unknown experiment 'fig11_dynamic'")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
