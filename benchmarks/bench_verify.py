@@ -19,7 +19,7 @@ import argparse
 import sys
 import time
 
-from repro.verify import CampaignConfig, CheckOptions, run_campaign
+from repro.verify import CAMPAIGNS, CampaignConfig, CheckOptions, run_campaign
 
 
 def main(argv=None) -> int:
@@ -41,13 +41,14 @@ def main(argv=None) -> int:
     checks = CheckOptions(metamorphic=not args.no_metamorphic)
     start = time.perf_counter()
     report = run_campaign(
+        CAMPAIGNS["core"],
         CampaignConfig(
             cases=cases,
             seed=args.seed,
             workers=args.workers,
             shrink=False,
             checks=checks,
-        )
+        ),
     )
     elapsed = time.perf_counter() - start
 

@@ -11,6 +11,8 @@ Examples
     repro run fig11a_hourly --workers 8 --max-retries 2 --task-timeout 600
     repro run fig09_top --resume            # checkpoint to .repro/journal.jsonl
     repro run-all --scale smoke
+    repro verify --cases 500 --workers 2   # the core campaign
+    repro verify --family faults --resume  # checkpoint to .repro/verify_journal.jsonl
 
 Resilience flags (``--max-retries``, ``--task-timeout``, ``--on-failure``,
 ``--resume``) configure the execution policy of
@@ -39,6 +41,7 @@ from repro.runtime.journal import Journal
 from repro.runtime.resilience import ON_FAILURE, ResilienceConfig
 from repro.runtime.shm import set_artifact_sharing
 from repro.utils.results_io import write_text_atomic
+from repro.verify import CAMPAIGNS, CampaignConfig, run_campaign
 
 __all__ = ["main", "build_parser"]
 
@@ -46,24 +49,10 @@ __all__ = ["main", "build_parser"]
 #: fingerprints are scoped per experiment@scale, so one file serves all runs
 DEFAULT_JOURNAL = Path(".repro") / "journal.jsonl"
 
-#: the verification campaign journals separately — its tasks are case
-#: specs, not experiment points (fingerprints are scoped per seed)
+#: the verification campaigns journal separately — their tasks are case
+#: specs, not experiment points; fingerprints are scoped per family and
+#: seed, so one file serves every campaign
 DEFAULT_VERIFY_JOURNAL = Path(".repro") / "verify_journal.jsonl"
-
-#: the fault-injection campaign likewise journals its own case specs
-DEFAULT_FAULTS_JOURNAL = Path(".repro") / "faults_journal.jsonl"
-
-#: and so does the incremental-vs-cold differential campaign
-DEFAULT_INCREMENTAL_JOURNAL = Path(".repro") / "incremental_journal.jsonl"
-
-#: and the constrained-placement campaign
-DEFAULT_CONSTRAINED_JOURNAL = Path(".repro") / "constrained_journal.jsonl"
-
-#: and the replication (migrate-vs-replicate lattice) campaign
-DEFAULT_REPLICATION_JOURNAL = Path(".repro") / "replication_journal.jsonl"
-
-#: and the sharded-execution differential campaign
-DEFAULT_SHARD_JOURNAL = Path(".repro") / "shard_journal.jsonl"
 
 #: campaign/benchmark JSON reports land here (gitignored): generated
 #: artifacts never sit next to tracked sources
@@ -104,17 +93,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="run the differential + metamorphic verification campaign",
+        help="run a seeded verification campaign (--family picks which)",
         description=(
-            "Seeded random scenarios across every topology family and solver "
-            "entry point, audited against invariants (Eq. 1 / Eq. 8 / "
-            "feasibility / LP floor), the size-gated exact oracles, "
-            "differential bit-identity and metamorphic cost relations.  Any "
-            "failing case is shrunk to a minimal repro.  Exits 1 on violations."
+            "Seeded random scenarios audited from scratch; exits 1 on "
+            "violations.  Families: core — every topology family and solver "
+            "entry point against the invariants (Eq. 1 / Eq. 8 / feasibility "
+            "/ LP floor), the size-gated exact oracles, differential "
+            "bit-identity and metamorphic cost relations, failing cases "
+            "shrunk to a minimal repro; faults — fault-aware days against "
+            "the survivability invariants; incremental — the incremental "
+            "solver core against the cold path; constrained — the MSG "
+            "solvers against the constrained exact referee; replication — "
+            "the migrate-vs-replicate lattice against its exact oracle and "
+            "rho anchors; shard — sharded days against the unsharded loop, "
+            "also under chaos.  A diagnosed infeasible instance is a "
+            "recorded outcome, not a failure."
         ),
     )
     verify.add_argument(
-        "--cases", type=int, default=100, metavar="N", help="scenarios to run"
+        "--family",
+        choices=list(CAMPAIGNS),
+        default="core",
+        help="which campaign to run (default: core)",
+    )
+    verify.add_argument(
+        "--cases",
+        type=int,
+        default=None,
+        metavar="N",
+        help="scenarios to run (default: the family's, 100 or 200)",
     )
     verify.add_argument("--seed", type=int, default=0, help="campaign seed")
     verify.add_argument(
@@ -127,14 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--json",
         type=Path,
-        default=DEFAULT_REPORTS_DIR / "verify_report.json",
+        default=None,
         metavar="PATH",
-        help="where to write the JSON report (default: reports/verify_report.json)",
+        help="where to write the JSON report (default: reports/<family>_report.json)",
     )
     verify.add_argument(
         "--no-shrink",
         action="store_true",
-        help="report failing cases as generated, without minimizing them",
+        help="core only: report failing cases as generated, without minimizing them",
     )
     verify.add_argument(
         "--inject-case",
@@ -142,15 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ID",
         help=(
-            "deliberately corrupt this case's result (self-test: the campaign "
-            "must catch and shrink it)"
+            "core only: deliberately corrupt this case's result (self-test: "
+            "the campaign must catch and shrink it)"
         ),
     )
     verify.add_argument(
         "--inject-kind",
         choices=("cost", "duplicate"),
-        default="cost",
-        help="which corruption --inject-case applies",
+        default=None,
+        help="core only: which corruption --inject-case applies (default: cost)",
     )
     verify.add_argument(
         "--resume",
@@ -162,233 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "journal completed cases and skip them on re-run "
             f"(default file: {DEFAULT_VERIFY_JOURNAL})"
-        ),
-    )
-
-    faults = sub.add_parser(
-        "faults",
-        help="run the fault-injection survivability campaign",
-        description=(
-            "Seeded fault-aware simulated days (switch/host/link failures "
-            "with repair) across the larger topology families, audited "
-            "against the survivability invariants: no VNF ever on a failed "
-            "switch, every cost recomputed on the degraded APSP, dropped "
-            "traffic and repair pricing exact, byte-identical replay.  A "
-            "diagnosed mid-day InfeasibleError (fabric lost too many "
-            "switches) is a recorded outcome, not a failure.  Exits 1 on "
-            "violations."
-        ),
-    )
-    faults.add_argument(
-        "--cases", type=int, default=100, metavar="N", help="scenarios to run"
-    )
-    faults.add_argument("--seed", type=int, default=0, help="campaign seed")
-    faults.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for case fan-out (default: 1, serial)",
-    )
-    faults.add_argument(
-        "--json",
-        type=Path,
-        default=DEFAULT_REPORTS_DIR / "faults_report.json",
-        metavar="PATH",
-        help="where to write the JSON report (default: reports/faults_report.json)",
-    )
-    faults.add_argument(
-        "--resume",
-        nargs="?",
-        type=Path,
-        const=DEFAULT_FAULTS_JOURNAL,
-        default=None,
-        metavar="JOURNAL",
-        help=(
-            "journal completed cases and skip them on re-run "
-            f"(default file: {DEFAULT_FAULTS_JOURNAL})"
-        ),
-    )
-
-    incremental = sub.add_parser(
-        "incremental",
-        help="run the incremental-vs-cold differential campaign",
-        description=(
-            "Seeded fault scenarios where the incremental solver core "
-            "(delta-maintained APSP, seeded degraded views, shared stroll "
-            "artifacts) is checked against the cold path as a differential "
-            "oracle: DynamicAPSP distances bit-identical to a cold recompute "
-            "after every fail/repair delta, the predecessor table a valid "
-            "shortest-path tree, simulated days byte-identical with strictly "
-            "fewer cold APSP solves on degraded traces.  Exits 1 on "
-            "violations."
-        ),
-    )
-    incremental.add_argument(
-        "--cases", type=int, default=200, metavar="N", help="scenarios to run"
-    )
-    incremental.add_argument("--seed", type=int, default=0, help="campaign seed")
-    incremental.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for case fan-out (default: 1, serial)",
-    )
-    incremental.add_argument(
-        "--json",
-        type=Path,
-        default=DEFAULT_REPORTS_DIR / "incremental_report.json",
-        metavar="PATH",
-        help="where to write the JSON report (default: reports/incremental_report.json)",
-    )
-    incremental.add_argument(
-        "--resume",
-        nargs="?",
-        type=Path,
-        const=DEFAULT_INCREMENTAL_JOURNAL,
-        default=None,
-        metavar="JOURNAL",
-        help=(
-            "journal completed cases and skip them on re-run "
-            f"(default file: {DEFAULT_INCREMENTAL_JOURNAL})"
-        ),
-    )
-
-    constrained = sub.add_parser(
-        "constrained",
-        help="run the constrained-placement verification campaign",
-        description=(
-            "Seeded capacity/delay/bandwidth-constrained queries across the "
-            "oracle-sized topology families, solved by the MSG stage-graph "
-            "family (plus the multi-SFC contention loop) and audited from "
-            "scratch: every accepted placement re-checked against the "
-            "constraints off the APSP table, never below the constrained "
-            "exact optimum, infeasibility claims confirmed by the exact "
-            "referee and carrying a structured diagnosis, byte-identical "
-            "replay.  A diagnosed infeasible instance is a recorded "
-            "outcome, not a failure.  Exits 1 on violations."
-        ),
-    )
-    constrained.add_argument(
-        "--cases", type=int, default=200, metavar="N", help="scenarios to run"
-    )
-    constrained.add_argument("--seed", type=int, default=0, help="campaign seed")
-    constrained.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for case fan-out (default: 1, serial)",
-    )
-    constrained.add_argument(
-        "--json",
-        type=Path,
-        default=DEFAULT_REPORTS_DIR / "constrained_report.json",
-        metavar="PATH",
-        help="where to write the JSON report (default: reports/constrained_report.json)",
-    )
-    constrained.add_argument(
-        "--resume",
-        nargs="?",
-        type=Path,
-        const=DEFAULT_CONSTRAINED_JOURNAL,
-        default=None,
-        metavar="JOURNAL",
-        help=(
-            "journal completed cases and skip them on re-run "
-            f"(default file: {DEFAULT_CONSTRAINED_JOURNAL})"
-        ),
-    )
-
-    replication = sub.add_parser(
-        "replication",
-        help="run the migrate-vs-replicate lattice verification campaign",
-        description=(
-            "Seeded simulated days (half fault-free, half with seeded "
-            "failures) under the tom-replication policy, audited from "
-            "scratch: serving cost as Eq. 1 with a per-flow min over chain "
-            "copies, sync and C_r accounting exact, the C_r <= C_b "
-            "dominance gate respected, the chosen action the minimum of "
-            "the priced option menu, failovers only to live replicas with "
-            "repairs priced from paid moves, the exact lattice oracle "
-            "never beaten, rho=0 byte-identical to plain TOM and rho→∞ "
-            "replication-free, byte-identical replay.  Exits 1 on "
-            "violations."
-        ),
-    )
-    replication.add_argument(
-        "--cases", type=int, default=100, metavar="N", help="scenarios to run"
-    )
-    replication.add_argument("--seed", type=int, default=0, help="campaign seed")
-    replication.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for case fan-out (default: 1, serial)",
-    )
-    replication.add_argument(
-        "--json",
-        type=Path,
-        default=DEFAULT_REPORTS_DIR / "replication_report.json",
-        metavar="PATH",
-        help="where to write the JSON report (default: reports/replication_report.json)",
-    )
-    replication.add_argument(
-        "--resume",
-        nargs="?",
-        type=Path,
-        const=DEFAULT_REPLICATION_JOURNAL,
-        default=None,
-        metavar="JOURNAL",
-        help=(
-            "journal completed cases and skip them on re-run "
-            f"(default file: {DEFAULT_REPLICATION_JOURNAL})"
-        ),
-    )
-
-    shard = sub.add_parser(
-        "shard",
-        help="run the sharded-execution verification campaign",
-        description=(
-            "Seeded simulated days (plain, fault-injected and replicating) "
-            "where the supervised sharded execution layer is checked "
-            "against the unsharded loop as a differential oracle: "
-            "byte-identical DayResults at every shard count, shard-count "
-            "invariance in the multi-block regime, and byte-identical "
-            "results under deterministic chaos (worker crashes, kills, "
-            "retries, pool rebuilds).  Exits 1 on violations."
-        ),
-    )
-    shard.add_argument(
-        "--cases", type=int, default=200, metavar="N", help="scenarios to run"
-    )
-    shard.add_argument("--seed", type=int, default=0, help="campaign seed")
-    shard.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for case fan-out (default: 1, serial)",
-    )
-    shard.add_argument(
-        "--json",
-        type=Path,
-        default=DEFAULT_REPORTS_DIR / "shard_report.json",
-        metavar="PATH",
-        help="where to write the JSON report (default: reports/shard_report.json)",
-    )
-    shard.add_argument(
-        "--resume",
-        nargs="?",
-        type=Path,
-        const=DEFAULT_SHARD_JOURNAL,
-        default=None,
-        metavar="JOURNAL",
-        help=(
-            "journal completed cases and skip them on re-run "
-            f"(default file: {DEFAULT_SHARD_JOURNAL})"
         ),
     )
 
@@ -619,28 +399,50 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def _run_verify(args, out) -> int:
-    from repro.verify import CampaignConfig, run_campaign
-
+    family = CAMPAIGNS[args.family]
+    core_only = [
+        flag
+        for flag, given in (
+            ("--no-shrink", args.no_shrink),
+            ("--inject-case", args.inject_case is not None),
+            ("--inject-kind", args.inject_kind is not None),
+        )
+        if given
+    ]
+    if core_only and family.shrink is None:
+        raise ReproError(
+            f"{', '.join(core_only)}: core-family options, not valid "
+            f"with --family {family.name}"
+        )
+    json_path = args.json or DEFAULT_REPORTS_DIR / f"{family.name}_report.json"
     if args.resume is not None and Path(args.resume).exists():
         print(f"resuming from {args.resume}", file=out)
     start = time.perf_counter()
     report = run_campaign(
+        family,
         CampaignConfig(
             cases=args.cases,
             seed=args.seed,
             workers=args.workers,
             shrink=not args.no_shrink,
             inject_case=args.inject_case,
-            inject_kind=args.inject_kind,
+            inject_kind=args.inject_kind or "cost",
             journal_path=args.resume,
-            report_path=args.json,
-        )
+            report_path=json_path,
+        ),
     )
     elapsed = time.perf_counter() - start
     hits = report["runtime"]["journal_hits"]
     resumed = f", {hits} from journal" if hits else ""
+    outcomes = report["coverage"].get("by_outcome")
+    breakdown = (
+        " (" + ", ".join(f"{n} {o}" for o, n in sorted(outcomes.items())) + ")"
+        if outcomes
+        else ""
+    )
     print(
-        f"{report['cases']} cases, {report['checks']} checks, "
+        f"{report['cases']} {family.name} cases{breakdown}, "
+        f"{report['checks']} checks, "
         f"{report['violations']} violations{resumed} "
         f"[seed {args.seed}, {elapsed:.1f}s]",
         file=out,
@@ -653,219 +455,13 @@ def _run_verify(args, out) -> int:
             else f"spec: {failure['spec']}"
         )
         print(
-            f"  case {failure['case_id']} ({failure['algo']}/{failure['entry']}/"
-            f"{failure['mode']} on {failure['family']}): "
+            f"  case {failure['case_id']} ({family.describe(failure)}): "
             f"{len(failure['violations'])} violation(s); {where}",
             file=out,
         )
         for violation in failure["violations"][:3]:
             print(f"    [{violation['invariant']}] {violation['message']}", file=out)
-    print(f"wrote {args.json}", file=out)
-    return 1 if report["violations"] else 0
-
-
-def _run_faults(args, out) -> int:
-    from repro.verify import FaultCampaignConfig, run_fault_campaign
-
-    if args.resume is not None and Path(args.resume).exists():
-        print(f"resuming from {args.resume}", file=out)
-    start = time.perf_counter()
-    report = run_fault_campaign(
-        FaultCampaignConfig(
-            cases=args.cases,
-            seed=args.seed,
-            workers=args.workers,
-            journal_path=args.resume,
-            report_path=args.json,
-        )
-    )
-    elapsed = time.perf_counter() - start
-    hits = report["runtime"]["journal_hits"]
-    resumed = f", {hits} from journal" if hits else ""
-    outcomes = report["coverage"]["by_outcome"]
-    print(
-        f"{report['cases']} cases ({outcomes.get('completed', 0)} completed, "
-        f"{outcomes.get('infeasible', 0)} infeasible), "
-        f"{report['checks']} checks, "
-        f"{report['violations']} violations{resumed} "
-        f"[seed {args.seed}, {elapsed:.1f}s]",
-        file=out,
-    )
-    for failure in report["failures"]:
-        print(
-            f"  case {failure['case_id']} ({failure['policy']} on "
-            f"{failure['family']}): {len(failure['violations'])} violation(s); "
-            f"spec: {failure['spec']}",
-            file=out,
-        )
-        for violation in failure["violations"][:3]:
-            print(f"    [{violation['invariant']}] {violation['message']}", file=out)
-    print(f"wrote {args.json}", file=out)
-    return 1 if report["violations"] else 0
-
-
-def _run_incremental(args, out) -> int:
-    from repro.verify import IncrementalCampaignConfig, run_incremental_campaign
-
-    if args.resume is not None and Path(args.resume).exists():
-        print(f"resuming from {args.resume}", file=out)
-    start = time.perf_counter()
-    report = run_incremental_campaign(
-        IncrementalCampaignConfig(
-            cases=args.cases,
-            seed=args.seed,
-            workers=args.workers,
-            journal_path=args.resume,
-            report_path=args.json,
-        )
-    )
-    elapsed = time.perf_counter() - start
-    hits = report["runtime"]["journal_hits"]
-    resumed = f", {hits} from journal" if hits else ""
-    outcomes = report["coverage"]["by_outcome"]
-    print(
-        f"{report['cases']} cases ({outcomes.get('completed', 0)} completed, "
-        f"{outcomes.get('infeasible', 0)} infeasible), "
-        f"{report['checks']} checks, "
-        f"{report['violations']} violations{resumed} "
-        f"[seed {args.seed}, {elapsed:.1f}s]",
-        file=out,
-    )
-    for failure in report["failures"]:
-        print(
-            f"  case {failure['case_id']} ({failure['policy']} on "
-            f"{failure['family']}): {len(failure['violations'])} violation(s); "
-            f"spec: {failure['spec']}",
-            file=out,
-        )
-        for violation in failure["violations"][:3]:
-            print(f"    [{violation['invariant']}] {violation['message']}", file=out)
-    print(f"wrote {args.json}", file=out)
-    return 1 if report["violations"] else 0
-
-
-def _run_constrained(args, out) -> int:
-    from repro.verify import ConstrainedCampaignConfig, run_constrained_campaign
-
-    if args.resume is not None and Path(args.resume).exists():
-        print(f"resuming from {args.resume}", file=out)
-    start = time.perf_counter()
-    report = run_constrained_campaign(
-        ConstrainedCampaignConfig(
-            cases=args.cases,
-            seed=args.seed,
-            workers=args.workers,
-            journal_path=args.resume,
-            report_path=args.json,
-        )
-    )
-    elapsed = time.perf_counter() - start
-    hits = report["runtime"]["journal_hits"]
-    resumed = f", {hits} from journal" if hits else ""
-    outcomes = report["coverage"]["by_outcome"]
-    print(
-        f"{report['cases']} cases ({outcomes.get('completed', 0)} completed, "
-        f"{outcomes.get('infeasible', 0)} infeasible), "
-        f"{report['checks']} checks, "
-        f"{report['violations']} violations{resumed} "
-        f"[seed {args.seed}, {elapsed:.1f}s]",
-        file=out,
-    )
-    for failure in report["failures"]:
-        print(
-            f"  case {failure['case_id']} ({failure['policy']} on "
-            f"{failure['family']}): {len(failure['violations'])} violation(s); "
-            f"spec: {failure['spec']}",
-            file=out,
-        )
-        for violation in failure["violations"][:3]:
-            print(f"    [{violation['invariant']}] {violation['message']}", file=out)
-    print(f"wrote {args.json}", file=out)
-    return 1 if report["violations"] else 0
-
-
-def _run_replication(args, out) -> int:
-    from repro.verify import ReplicationCampaignConfig, run_replication_campaign
-
-    if args.resume is not None and Path(args.resume).exists():
-        print(f"resuming from {args.resume}", file=out)
-    start = time.perf_counter()
-    report = run_replication_campaign(
-        ReplicationCampaignConfig(
-            cases=args.cases,
-            seed=args.seed,
-            workers=args.workers,
-            journal_path=args.resume,
-            report_path=args.json,
-        )
-    )
-    elapsed = time.perf_counter() - start
-    hits = report["runtime"]["journal_hits"]
-    resumed = f", {hits} from journal" if hits else ""
-    outcomes = report["coverage"]["by_outcome"]
-    print(
-        f"{report['cases']} cases ({outcomes.get('completed', 0)} completed, "
-        f"{outcomes.get('infeasible', 0)} infeasible), "
-        f"{report['checks']} checks, "
-        f"{report['violations']} violations{resumed} "
-        f"[seed {args.seed}, {elapsed:.1f}s]",
-        file=out,
-    )
-    for failure in report["failures"]:
-        mode = "faulty" if failure["faulty"] else "fault-free"
-        print(
-            f"  case {failure['case_id']} ({mode} on "
-            f"{failure['family']}): {len(failure['violations'])} violation(s); "
-            f"spec: {failure['spec']}",
-            file=out,
-        )
-        for violation in failure["violations"][:3]:
-            print(f"    [{violation['invariant']}] {violation['message']}", file=out)
-    print(f"wrote {args.json}", file=out)
-    return 1 if report["violations"] else 0
-
-
-def _run_shard(args, out) -> int:
-    from repro.verify import ShardCampaignConfig, run_shard_campaign
-
-    if args.resume is not None and Path(args.resume).exists():
-        print(f"resuming from {args.resume}", file=out)
-    start = time.perf_counter()
-    report = run_shard_campaign(
-        ShardCampaignConfig(
-            cases=args.cases,
-            seed=args.seed,
-            workers=args.workers,
-            journal_path=args.resume,
-            report_path=args.json,
-        )
-    )
-    elapsed = time.perf_counter() - start
-    hits = report["runtime"]["journal_hits"]
-    resumed = f", {hits} from journal" if hits else ""
-    outcomes = report["coverage"]["by_outcome"]
-    kinds = report["coverage"]["by_day_kind"]
-    print(
-        f"{report['cases']} cases "
-        f"({kinds.get('plain', 0)} plain, {kinds.get('fault', 0)} fault, "
-        f"{kinds.get('replication', 0)} replication; "
-        f"{outcomes.get('infeasible', 0)} infeasible), "
-        f"{report['checks']} checks, "
-        f"{report['violations']} violations{resumed} "
-        f"[seed {args.seed}, {elapsed:.1f}s]",
-        file=out,
-    )
-    for failure in report["failures"]:
-        print(
-            f"  case {failure['case_id']} ({failure['policy']} on "
-            f"{failure['family']}, {failure['day_kind']}): "
-            f"{len(failure['violations'])} violation(s); "
-            f"spec: {failure['spec']}",
-            file=out,
-        )
-        for violation in failure["violations"][:3]:
-            print(f"    [{violation['invariant']}] {violation['message']}", file=out)
-    print(f"wrote {args.json}", file=out)
+    print(f"wrote {json_path}", file=out)
     return 1 if report["violations"] else 0
 
 
@@ -943,16 +539,6 @@ def _dispatch(args, out) -> int:
         return _run_serve(args, out)
     if args.command == "verify":
         return _run_verify(args, out)
-    if args.command == "faults":
-        return _run_faults(args, out)
-    if args.command == "incremental":
-        return _run_incremental(args, out)
-    if args.command == "constrained":
-        return _run_constrained(args, out)
-    if args.command == "replication":
-        return _run_replication(args, out)
-    if args.command == "shard":
-        return _run_shard(args, out)
     if getattr(args, "no_shared_artifacts", False):
         set_artifact_sharing(False)
     if not getattr(args, "incremental", True):

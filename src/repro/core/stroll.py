@@ -491,21 +491,23 @@ class StrollEngine:
                 f"cannot repair walk to {n} distinct nodes: only "
                 f"{candidates.size} unvisited candidates remain"
             )
-        for _ in range(missing):
-            a, b = nodes[:-1], nodes[1:]
-            deltas = (
-                closure[a[None, :], candidates[:, None]]
-                + closure[candidates[:, None], b[None, :]]
-                - closure[a, b][None, :]
-            )
-            pos = deltas.argmin(axis=1)
-            best = deltas[np.arange(candidates.size), pos]
-            eligible = best < np.inf
-            if not np.any(eligible):
-                raise SolverError("repair found no insertable node")
-            pick = int(np.argmin(np.where(eligible, best, np.inf)))
-            nodes = np.insert(nodes, pos[pick] + 1, candidates[pick])
-            candidates = np.delete(candidates, pick)
+        # an inf - inf detour is NaN by design: that candidate is skipped
+        with np.errstate(invalid="ignore"):
+            for _ in range(missing):
+                a, b = nodes[:-1], nodes[1:]
+                deltas = (
+                    closure[a[None, :], candidates[:, None]]
+                    + closure[candidates[:, None], b[None, :]]
+                    - closure[a, b][None, :]
+                )
+                pos = deltas.argmin(axis=1)
+                best = deltas[np.arange(candidates.size), pos]
+                eligible = best < np.inf
+                if not np.any(eligible):
+                    raise SolverError("repair found no insertable node")
+                pick = int(np.argmin(np.where(eligible, best, np.inf)))
+                nodes = np.insert(nodes, pos[pick] + 1, candidates[pick])
+                candidates = np.delete(candidates, pick)
         return nodes
 
     def solve(self, source: int, n: int) -> StrollResult:

@@ -12,44 +12,57 @@ Three layers, cheapest first:
    scenario rewrites (relabel, scale, split, reverse, zero-flow) with a
    known cost relation every sound solver must preserve.
 
-:mod:`~repro.verify.campaign` wires the three into a seeded fuzz
-campaign (``repro verify``) with journal resume and greedy shrinking of
-failures; :mod:`~repro.verify.diff` holds the bit-identity helpers the
+Six seeded campaign families put them to work, all driven by one
+:func:`~repro.verify.campaign.run_campaign` (journal resume, worker
+fan-out, crash-as-finding, JSON report) and listed in :data:`CAMPAIGNS`
+in the order ``repro verify --family`` names them:
+
+* ``core`` (:mod:`~repro.verify.campaign`) — every solver entry point
+  against all three layers, failures greedily shrunk;
+* ``faults`` (:mod:`~repro.verify.faults`) — survivability days;
+* ``incremental`` (:mod:`~repro.verify.incremental`) — incremental vs
+  cold solver core;
+* ``constrained`` (:mod:`~repro.verify.constrained`) — MSG solvers vs
+  the constrained exact referee;
+* ``replication`` (:mod:`~repro.verify.replication`) — the
+  migrate-vs-replicate lattice;
+* ``shard`` (:mod:`~repro.verify.shard`) — sharded vs unsharded days.
+
+:mod:`~repro.verify.diff` holds the bit-identity helpers the
 differential checks and the test suites share.
 """
 
 from repro.verify.campaign import (
     APPLICABLE,
+    CORE,
     CampaignConfig,
+    CampaignFamily,
     CheckOptions,
     run_campaign,
     run_case,
     shrink_case,
 )
 from repro.verify.constrained import (
+    CONSTRAINED,
     CONSTRAINED_FAMILIES,
-    ConstrainedCampaignConfig,
     ConstrainedCaseSpec,
     generate_constrained_cases,
-    run_constrained_campaign,
     run_constrained_case,
 )
 from repro.verify.diff import assert_equivalent, check_differential, diff_results
 from repro.verify.faults import (
     FAULT_FAMILIES,
-    FaultCampaignConfig,
+    FAULTS,
     FaultCaseSpec,
     check_fault_day,
     generate_fault_cases,
-    run_fault_campaign,
     run_fault_case,
 )
 from repro.verify.incremental import (
-    IncrementalCampaignConfig,
+    INCREMENTAL,
     check_dynamic_tables,
     check_incremental_day,
     generate_incremental_cases,
-    run_incremental_campaign,
     run_incremental_case,
 )
 from repro.verify.invariants import (
@@ -85,23 +98,27 @@ from repro.verify.oracles import (
     oracle_placement,
 )
 from repro.verify.replication import (
+    REPLICATION,
     REPLICATION_FAMILIES,
-    ReplicationCampaignConfig,
     ReplicationCaseSpec,
     check_replication_day,
     generate_replication_cases,
-    run_replication_campaign,
     run_replication_case,
 )
 from repro.verify.scenarios import FAMILIES, CaseSpec, generate_cases, shrink_candidates
 from repro.verify.shard import (
+    SHARD,
     SHARD_DAY_KINDS,
-    ShardCampaignConfig,
     ShardCaseSpec,
     generate_shard_cases,
-    run_shard_campaign,
     run_shard_case,
 )
+
+#: every campaign family by its ``repro verify --family`` name
+CAMPAIGNS: dict[str, CampaignFamily] = {
+    family.name: family
+    for family in (CORE, FAULTS, INCREMENTAL, CONSTRAINED, REPLICATION, SHARD)
+}
 
 __all__ = [
     # invariants
@@ -144,9 +161,12 @@ __all__ = [
     "shrink_candidates",
     "APPLICABLE",
     "CheckOptions",
-    "CampaignConfig",
     "run_case",
     "shrink_case",
+    # the campaign driver
+    "CAMPAIGNS",
+    "CampaignFamily",
+    "CampaignConfig",
     "run_campaign",
     # fault injection
     "FAULT_FAMILIES",
@@ -154,35 +174,25 @@ __all__ = [
     "generate_fault_cases",
     "check_fault_day",
     "run_fault_case",
-    "FaultCampaignConfig",
-    "run_fault_campaign",
     # constrained placement
     "CONSTRAINED_FAMILIES",
     "ConstrainedCaseSpec",
     "generate_constrained_cases",
     "run_constrained_case",
-    "ConstrainedCampaignConfig",
-    "run_constrained_campaign",
     # replication lattice
     "REPLICATION_FAMILIES",
     "ReplicationCaseSpec",
     "generate_replication_cases",
     "check_replication_day",
     "run_replication_case",
-    "ReplicationCampaignConfig",
-    "run_replication_campaign",
     # incremental differential
     "generate_incremental_cases",
     "check_dynamic_tables",
     "check_incremental_day",
     "run_incremental_case",
-    "IncrementalCampaignConfig",
-    "run_incremental_campaign",
     # sharded execution differential
     "SHARD_DAY_KINDS",
     "ShardCaseSpec",
     "generate_shard_cases",
     "run_shard_case",
-    "ShardCampaignConfig",
-    "run_shard_campaign",
 ]

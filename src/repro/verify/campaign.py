@@ -1,8 +1,20 @@
-"""The verification campaign: generate, solve, check, shrink, report.
+"""The verification campaigns: one driver, six families.
 
-One campaign = ``cases`` seeded scenarios (:mod:`repro.verify.scenarios`)
-each pushed through its solver entry point and audited with every
-applicable check:
+A campaign is ``cases`` seeded scenarios, each audited by its family's
+``run_case`` and summarized in one JSON report.  :class:`CampaignFamily`
+records what differs between families — case generator, audit, coverage
+tally, failure label, optional shrinker — and :func:`run_campaign` does
+the rest for all of them: cases fan out through
+:func:`repro.runtime.executor.map_tasks` (``--workers``), a
+:class:`~repro.runtime.journal.Journal` makes a killed campaign
+resumable (completed cases replay by content fingerprint), and
+:func:`audit_case` turns a crash on any case into a recorded finding.
+The registry of families is :data:`repro.verify.CAMPAIGNS`, driven by
+``repro verify --family``.
+
+This module also holds the **core** family (``repro verify``): seeded
+scenarios (:mod:`repro.verify.scenarios`) pushed through every solver
+entry point and audited with every applicable check:
 
 * invariants (Eq. 1 / Eq. 8 / feasibility / triangle / LP floor),
 * the size-gated exact oracles,
@@ -11,20 +23,21 @@ applicable check:
 * the metamorphic transforms whose cost relation is sound for the
   case's algorithm (see :data:`APPLICABLE`).
 
-Cases run through :func:`repro.runtime.executor.map_tasks`, so ``--workers``
-fans them out and a :class:`~repro.runtime.journal.Journal` makes a
-killed campaign resumable — completed cases replay from the journal
-by content fingerprint.  Any failing case is then greedily shrunk
+A failing core case is greedily shrunk
 (:func:`repro.verify.scenarios.shrink_candidates`) to a minimal spec
-that still fails, and everything lands in a JSON report.
+that still fails.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -39,12 +52,14 @@ from repro.core.optimal import optimal_migration, optimal_placement
 from repro.core.placement import dp_placement, dp_placement_top1
 from repro.core.primal_dual import primal_dual_placement_top1
 from repro.core.types import MigrationResult, PlacementResult
+from repro.errors import ReproError
 from repro.runtime.cache import ComputeCache
 from repro.runtime.executor import map_tasks
 from repro.runtime.instrument import count, counters
 from repro.runtime.journal import Journal
 from repro.runtime.resilience import ResilienceConfig
 from repro.session import SolverSession
+from repro.utils.results_io import write_text_atomic
 from repro.verify.diff import check_differential
 from repro.verify.invariants import DEFAULT_RTOL, Violation, check_result
 from repro.verify.metamorphic import TRANSFORMS
@@ -59,10 +74,15 @@ from repro.verify.scenarios import CaseSpec, generate_cases, shrink_candidates
 __all__ = [
     "APPLICABLE",
     "CheckOptions",
+    "CaseLog",
+    "audit_case",
+    "tally",
+    "CampaignFamily",
     "CampaignConfig",
+    "run_campaign",
     "run_case",
     "shrink_case",
-    "run_campaign",
+    "CORE",
 ]
 
 #: which metamorphic transforms are *sound* for which algorithm.
@@ -139,20 +159,6 @@ class CheckOptions:
     differential: bool = True
     rtol: float = DEFAULT_RTOL
     gate: OracleGate = OracleGate()
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    cases: int = 100
-    seed: int = 0
-    workers: int = 1
-    shrink: bool = True
-    checks: CheckOptions = CheckOptions()
-    #: corrupt this case's result on purpose (demo / self-test)
-    inject_case: int | None = None
-    inject_kind: str = "cost"
-    journal_path: str | Path | None = None
-    report_path: str | Path | None = None
 
 
 def _solve_case(spec: CaseSpec, topology, flows, prev, *, cache=None):
@@ -320,6 +326,44 @@ def _metamorphic_violations(spec, topology, flows, prev, base_cost, options):
     return violations, checks
 
 
+def _audit_case(spec: CaseSpec, options: CheckOptions, log: CaseLog) -> None:
+    topology, flows, prev = spec.build()
+    result, priced = _solve_case(spec, topology, flows, prev)
+    if spec.inject:
+        result = _corrupt(result, spec.inject)
+    log.checks += 1
+    log.violations += check_result(
+        topology,
+        priced,
+        result,
+        mu=spec.mu if spec.mode == "migrate" else None,
+        n=spec.n,
+        lp=options.lp and spec.mode == "place",
+        rtol=options.rtol,
+    )
+    if options.oracle:
+        log.checks += 1
+        log.violations += _oracle_violations(
+            spec, topology, priced, prev, result, options
+        )
+    if options.differential and spec.entry != "cold":
+        log.checks += 1
+        cold_result, _ = _solve_case(
+            replace(spec, entry="cold"),
+            topology,
+            flows,
+            prev,
+            cache=ComputeCache(),
+        )
+        log.violations += check_differential(result, cold_result)
+    if options.metamorphic:
+        meta_violations, meta_checks = _metamorphic_violations(
+            spec, topology, flows, prev, float(result.cost), options
+        )
+        log.violations += meta_violations
+        log.checks += meta_checks
+
+
 def run_case(task: tuple[CaseSpec, CheckOptions]) -> dict:
     """Build, solve and audit one case; returns a JSON-friendly record.
 
@@ -327,67 +371,16 @@ def run_case(task: tuple[CaseSpec, CheckOptions]) -> dict:
     processes and be journalled for resume.
     """
     spec, options = task
-    count("verify_cases")
-    violations: list[Violation] = []
-    checks = 0
-    try:
-        topology, flows, prev = spec.build()
-        result, priced = _solve_case(spec, topology, flows, prev)
-        if spec.inject:
-            result = _corrupt(result, spec.inject)
-        checks += 1
-        violations += check_result(
-            topology,
-            priced,
-            result,
-            mu=spec.mu if spec.mode == "migrate" else None,
-            n=spec.n,
-            lp=options.lp and spec.mode == "place",
-            rtol=options.rtol,
-        )
-        if options.oracle:
-            checks += 1
-            violations += _oracle_violations(
-                spec, topology, priced, prev, result, options
-            )
-        if options.differential and spec.entry != "cold":
-            checks += 1
-            cold_result, _ = _solve_case(
-                replace(spec, entry="cold"),
-                topology,
-                flows,
-                prev,
-                cache=ComputeCache(),
-            )
-            violations += check_differential(result, cold_result)
-        if options.metamorphic:
-            meta_violations, meta_checks = _metamorphic_violations(
-                spec, topology, flows, prev, float(result.cost), options
-            )
-            violations += meta_violations
-            checks += meta_checks
-    except Exception as exc:  # a crash on a generated scenario is a finding
-        violations.append(
-            Violation(
-                "exception",
-                f"{type(exc).__name__}: {exc}",
-                {"error": repr(exc)},
-            )
-        )
-    if violations:
-        count("verify_violations", len(violations))
-    return {
-        "case_id": spec.case_id,
-        "family": spec.family,
+    labels = {
         "algo": spec.algo,
         "entry": spec.entry,
         "mode": spec.mode,
         "n": spec.n,
         "num_flows": spec.effective_flows,
-        "checks": checks,
-        "violations": [v.to_dict() for v in violations],
-        "spec": spec.to_dict(),
     }
+    return audit_case(
+        "verify", spec, labels, partial(_audit_case, spec, options), outcome=None
+    )
 
 
 def shrink_case(
@@ -416,11 +409,149 @@ def shrink_case(
     return best, best_record
 
 
-def run_campaign(config: CampaignConfig) -> dict:
-    """Run the whole campaign; returns the report dict (see module doc)."""
+
+
+def _shrunk(spec: CaseSpec, options: CheckOptions) -> dict:
+    shrunk_spec, shrunk_record = shrink_case(spec, options)
+    return {
+        "spec": shrunk_spec.to_dict(),
+        "num_flows": shrunk_spec.effective_flows,
+        "violations": shrunk_record["violations"],
+    }
+
+
+# -- the driver every campaign family shares ---------------------------------
+
+
+@dataclass
+class CaseLog:
+    """What one case's audit has found so far.
+
+    The audit mutates it in place, so a crash part-way through keeps the
+    checks and violations counted before it.
+    """
+
+    outcome: str | None
+    checks: int = 0
+    violations: list[Violation] = field(default_factory=list)
+
+
+def audit_case(
+    counter: str,
+    spec,
+    labels: dict,
+    audit: Callable[[CaseLog], None],
+    *,
+    outcome: str | None = "completed",
+) -> dict:
+    """Run one case's ``audit`` and return its JSON-friendly record.
+
+    A crash on a generated scenario is a finding, not an abort: it
+    becomes an ``exception`` violation and the outcome ``"error"``.  The
+    record is ``case_id, family, *labels, outcome, checks, violations,
+    spec``; ``outcome=None`` leaves the outcome out (the core family has
+    none).  Journals store these records, so their keys never change.
+    """
+    count(f"{counter}_cases")
+    log = CaseLog(outcome)
+    try:
+        audit(log)
+    except Exception as exc:  # a crash on a generated scenario is a finding
+        log.violations.append(
+            Violation(
+                "exception",
+                f"{type(exc).__name__}: {exc}",
+                {"error": repr(exc)},
+            )
+        )
+        if log.outcome is not None:
+            log.outcome = "error"
+    if log.violations:
+        count(f"{counter}_violations", len(log.violations))
+    record = {"case_id": spec.case_id, "family": spec.family, **labels}
+    if log.outcome is not None:
+        record["outcome"] = log.outcome
+    record["checks"] = log.checks
+    record["violations"] = [v.to_dict() for v in log.violations]
+    record["spec"] = spec.to_dict()
+    return record
+
+
+def tally(*keys: str) -> Callable[[list[dict]], dict]:
+    """A coverage report counting the records by each of ``keys``."""
+
+    def coverage(records: list[dict]) -> dict:
+        return {f"by_{key}": dict(Counter(r[key] for r in records)) for key in keys}
+
+    return coverage
+
+
+@dataclass(frozen=True)
+class CampaignFamily:
+    """One verification campaign: its cases, their audit and its report.
+
+    ``run_case`` is module-level and takes a picklable ``(spec, options)``
+    task, so cases fan out to worker processes.  The journal keys each
+    task by ``sha256(scope, index, pickle(task))``: ``scope``, the spec
+    classes and the task shape are part of the resume contract.
+    """
+
+    name: str
+    #: journal scope prefix; the campaign runs under ``<scope>@<seed>``
+    scope: str
+    default_cases: int
+    #: ``(seed, cases) -> specs``; case ``i`` is the same at any count
+    generate: Callable[[int, int], list]
+    run_case: Callable[[tuple], dict]
+    #: ``records -> report["coverage"]``
+    coverage: Callable[[list[dict]], dict]
+    #: one failure record -> the label the CLI prints for it
+    describe: Callable[[dict], str]
+    #: ``(spec, options) -> shrunk`` minimizer of a failing case; a family
+    #: with one also takes ``inject_case`` (the self-test it must catch)
+    shrink: Callable | None = None
+    #: the ``options`` half of each task, from the campaign's checks
+    options: Callable[[CheckOptions], object] = attrgetter("rtol")
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    #: scenarios to run (``None``: the family's default)
+    cases: int | None = None
+    seed: int = 0
+    workers: int = 1
+    shrink: bool = True
+    checks: CheckOptions = CheckOptions()
+    #: corrupt this case's result on purpose (demo / self-test)
+    inject_case: int | None = None
+    inject_kind: str = "cost"
+    journal_path: str | Path | None = None
+    report_path: str | Path | None = None
+
+
+def run_campaign(family: CampaignFamily, config: CampaignConfig) -> dict:
+    """Run one family's campaign and return its JSON-friendly report.
+
+    The report holds ``config``, the ``cases``/``checks``/``violations``
+    totals, the family's ``coverage``, the failing records (core ones
+    with their ``shrunk`` repro) and ``runtime`` (timing, journal hits).
+    """
+    cases = family.default_cases if config.cases is None else config.cases
+    if cases < 0:
+        raise ReproError(f"cases must be a non-negative integer, got {cases}")
+    if config.inject_case is not None:
+        if family.shrink is None:
+            raise ReproError(
+                f"inject_case applies to the core family only, not {family.name!r}"
+            )
+        if not 0 <= config.inject_case < cases:
+            raise ReproError(
+                f"inject_case {config.inject_case} is not one of the "
+                f"{cases} case ids"
+            )
     start = time.perf_counter()
     hits_before = counters().get("journal_hits", 0)
-    specs = generate_cases(config.seed, config.cases)
+    specs = family.generate(config.seed, cases)
     if config.inject_case is not None:
         specs = [
             replace(s, inject=config.inject_kind)
@@ -428,51 +559,43 @@ def run_campaign(config: CampaignConfig) -> dict:
             else s
             for s in specs
         ]
-    tasks = [(spec, config.checks) for spec in specs]
+    options = family.options(config.checks)
+    tasks = [(spec, options) for spec in specs]
     journal = Journal(config.journal_path) if config.journal_path else None
     try:
         resilience = ResilienceConfig(
-            scope=f"verify@{config.seed}", journal=journal
+            scope=f"{family.scope}@{config.seed}", journal=journal
         )
         records = map_tasks(
-            run_case, tasks, workers=config.workers, resilience=resilience
+            family.run_case, tasks, workers=config.workers, resilience=resilience
         )
     finally:
         if journal is not None:
             journal.close()
+    shrink = config.shrink and family.shrink is not None
     failures = []
     for record in records:
         if not record["violations"]:
             continue
         failure = dict(record)
-        if config.shrink:
-            spec = specs[record["case_id"]]
-            shrunk_spec, shrunk_record = shrink_case(spec, config.checks)
-            failure["shrunk"] = {
-                "spec": shrunk_spec.to_dict(),
-                "num_flows": shrunk_spec.effective_flows,
-                "violations": shrunk_record["violations"],
-            }
+        if shrink:
+            failure["shrunk"] = family.shrink(specs[record["case_id"]], options)
         failures.append(failure)
     elapsed = time.perf_counter() - start
     report = {
         "config": {
-            "cases": config.cases,
+            "family": family.name,
+            "cases": cases,
             "seed": config.seed,
             "workers": config.workers,
-            "shrink": config.shrink,
+            "shrink": shrink,
             "rtol": config.checks.rtol,
             "inject_case": config.inject_case,
         },
         "cases": len(records),
         "checks": int(sum(r["checks"] for r in records)),
         "violations": int(sum(len(r["violations"]) for r in records)),
-        "coverage": {
-            "by_algo": dict(Counter(r["algo"] for r in records)),
-            "by_family": dict(Counter(r["family"] for r in records)),
-            "by_entry": dict(Counter(r["entry"] for r in records)),
-            "by_mode": dict(Counter(r["mode"] for r in records)),
-        },
+        "coverage": family.coverage(records),
         "failures": failures,
         "runtime": {
             "elapsed_seconds": elapsed,
@@ -481,9 +604,18 @@ def run_campaign(config: CampaignConfig) -> dict:
         },
     }
     if config.report_path:
-        import json
-
-        from repro.utils.results_io import write_text_atomic
-
         write_text_atomic(Path(config.report_path), json.dumps(report, indent=2))
     return report
+
+
+CORE = CampaignFamily(
+    name="core",
+    scope="verify",
+    default_cases=100,
+    generate=generate_cases,
+    run_case=run_case,
+    coverage=tally("algo", "family", "entry", "mode"),
+    describe=lambda f: f"{f['algo']}/{f['entry']}/{f['mode']} on {f['family']}",
+    shrink=_shrunk,
+    options=lambda checks: checks,
+)

@@ -32,25 +32,20 @@ by the chains admitted before it.
 from __future__ import annotations
 
 import json
-import time
-from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
 from repro.constraints import Constraints, active_constraints, chain_delay
 from repro.core.placement import dp_placement
 from repro.errors import InfeasibleError
-from repro.runtime.executor import map_tasks
-from repro.runtime.instrument import count, counters
-from repro.runtime.journal import Journal
 from repro.session import SolverSession
 from repro.solvers.contention import ORDERS, place_chains
 from repro.solvers.msg_stage_graph import msg_greedy_placement, msg_placement
 from repro.solvers.msg_stage_graph import msg_greedy_migration, msg_migration
+from repro.verify.campaign import CampaignFamily, CaseLog, audit_case, tally
 from repro.verify.invariants import (
-    DEFAULT_RTOL,
     Violation,
     check_migration_result,
     check_placement_result,
@@ -69,8 +64,7 @@ __all__ = [
     "ConstrainedCaseSpec",
     "generate_constrained_cases",
     "run_constrained_case",
-    "ConstrainedCampaignConfig",
-    "run_constrained_campaign",
+    "CONSTRAINED",
 ]
 
 #: ladder rungs small enough that :class:`OracleGate` admits them — the
@@ -383,6 +377,144 @@ def _check_contention(spec: ConstrainedCaseSpec, topology, constraints, result):
     return violations
 
 
+def _audit_constrained_case(
+    spec: ConstrainedCaseSpec, rtol: float, log: CaseLog
+) -> None:
+    gate = OracleGate()
+    topology, flows, prev, constraints = spec.build()
+    active = active_constraints(constraints)
+
+    if spec.mode == "contention":
+        result = place_chains(
+            topology, spec.chains(topology),
+            constraints=constraints, order=spec.algo,
+        )
+        log.checks += 1
+        log.violations += _check_contention(spec, topology, constraints, result)
+        log.checks += 1
+        replay = place_chains(
+            topology, spec.chains(topology),
+            constraints=constraints, order=spec.algo,
+        )
+        if json.dumps(result.to_dict(), sort_keys=True) != json.dumps(
+            replay.to_dict(), sort_keys=True
+        ):
+            log.violations.append(
+                Violation(
+                    "constrained_determinism",
+                    "re-running the same contention spec changed the result",
+                    {},
+                )
+            )
+        if not result.accepted:
+            log.outcome = "infeasible"
+    else:
+        result = None
+        try:
+            result = _solve_spec(spec, topology, flows, prev, constraints)
+        except InfeasibleError as exc:
+            log.checks += 1
+            if exc.diagnosis.get("reason"):
+                log.outcome = "infeasible"
+            else:
+                log.violations.append(
+                    Violation(
+                        "constrained_diagnosis",
+                        f"InfeasibleError without diagnosis: {exc}",
+                        {"error": repr(exc)},
+                    )
+                )
+
+        # the constrained exact referee (gated; may itself declare
+        # the instance infeasible — that is its answer, not an error)
+        oracle = None
+        oracle_infeasible = False
+        try:
+            if spec.mode == "place":
+                oracle = oracle_placement(
+                    topology, flows, spec.n,
+                    gate=gate, constraints=constraints,
+                )
+            else:
+                oracle = oracle_migration(
+                    topology, flows, prev, spec.mu,
+                    gate=gate, constraints=constraints,
+                )
+        except InfeasibleError:
+            oracle_infeasible = True
+
+        if result is not None:
+            log.checks += 1
+            if spec.mode == "place":
+                log.violations += check_placement_result(
+                    topology, flows, result, n=spec.n, rtol=rtol
+                )
+            else:
+                log.violations += check_migration_result(
+                    topology, flows, result, mu=spec.mu, n=spec.n, rtol=rtol
+                )
+            log.checks += 1
+            problems = (
+                active.check_placement(
+                    topology, result.placement, float(flows.total_rate)
+                )
+                if active is not None
+                else []
+            )
+            if problems:
+                log.violations.append(
+                    Violation(
+                        "constrained_feasibility",
+                        f"accepted placement violates the constraints "
+                        f"recomputed from scratch: {problems}",
+                        {"problems": problems},
+                    )
+                )
+            log.checks += 1
+            if oracle_infeasible:
+                log.violations.append(
+                    Violation(
+                        "constrained_soundness",
+                        "solver accepted a placement on an instance the "
+                        "exact referee proved infeasible",
+                        {"placement": result.placement},
+                    )
+                )
+            else:
+                log.violations += check_oracle_floor(result, oracle, rtol=rtol)
+        elif log.outcome == "infeasible":
+            log.checks += 1
+            if oracle is not None and not oracle_infeasible:
+                log.violations.append(
+                    Violation(
+                        "constrained_completeness",
+                        "solver declared the instance infeasible but the "
+                        "exact referee found a feasible placement "
+                        f"(cost {float(oracle.cost)!r})",
+                        {"oracle_cost": float(oracle.cost)},
+                    )
+                )
+
+        if result is not None:
+            log.checks += 1
+            try:
+                replayed = _solve_spec(
+                    spec, topology, flows, prev, constraints
+                )
+            except InfeasibleError:
+                replayed = None
+            if replayed is None or json.dumps(
+                result.to_dict(), sort_keys=True
+            ) != json.dumps(replayed.to_dict(), sort_keys=True):
+                log.violations.append(
+                    Violation(
+                        "constrained_determinism",
+                        "re-running the same spec changed the result",
+                        {},
+                    )
+                )
+
+
 def run_constrained_case(task) -> dict:
     """Solve, referee and determinism-check one constrained case.
 
@@ -390,222 +522,20 @@ def run_constrained_case(task) -> dict:
     can run in worker processes and be journalled for resume.
     """
     spec, rtol = task
-    count("constrained_cases")
-    violations: list[Violation] = []
-    outcome = "completed"
-    checks = 0
-    gate = OracleGate()
-    try:
-        topology, flows, prev, constraints = spec.build()
-        active = active_constraints(constraints)
-
-        if spec.mode == "contention":
-            result = place_chains(
-                topology, spec.chains(topology),
-                constraints=constraints, order=spec.algo,
-            )
-            checks += 1
-            violations += _check_contention(spec, topology, constraints, result)
-            checks += 1
-            replay = place_chains(
-                topology, spec.chains(topology),
-                constraints=constraints, order=spec.algo,
-            )
-            if json.dumps(result.to_dict(), sort_keys=True) != json.dumps(
-                replay.to_dict(), sort_keys=True
-            ):
-                violations.append(
-                    Violation(
-                        "constrained_determinism",
-                        "re-running the same contention spec changed the result",
-                        {},
-                    )
-                )
-            if not result.accepted:
-                outcome = "infeasible"
-        else:
-            result = None
-            try:
-                result = _solve_spec(spec, topology, flows, prev, constraints)
-            except InfeasibleError as exc:
-                checks += 1
-                if exc.diagnosis.get("reason"):
-                    outcome = "infeasible"
-                else:
-                    violations.append(
-                        Violation(
-                            "constrained_diagnosis",
-                            f"InfeasibleError without diagnosis: {exc}",
-                            {"error": repr(exc)},
-                        )
-                    )
-
-            # the constrained exact referee (gated; may itself declare
-            # the instance infeasible — that is its answer, not an error)
-            oracle = None
-            oracle_infeasible = False
-            try:
-                if spec.mode == "place":
-                    oracle = oracle_placement(
-                        topology, flows, spec.n,
-                        gate=gate, constraints=constraints,
-                    )
-                else:
-                    oracle = oracle_migration(
-                        topology, flows, prev, spec.mu,
-                        gate=gate, constraints=constraints,
-                    )
-            except InfeasibleError:
-                oracle_infeasible = True
-
-            if result is not None:
-                checks += 1
-                if spec.mode == "place":
-                    violations += check_placement_result(
-                        topology, flows, result, n=spec.n, rtol=rtol
-                    )
-                else:
-                    violations += check_migration_result(
-                        topology, flows, result, mu=spec.mu, n=spec.n, rtol=rtol
-                    )
-                checks += 1
-                problems = (
-                    active.check_placement(
-                        topology, result.placement, float(flows.total_rate)
-                    )
-                    if active is not None
-                    else []
-                )
-                if problems:
-                    violations.append(
-                        Violation(
-                            "constrained_feasibility",
-                            f"accepted placement violates the constraints "
-                            f"recomputed from scratch: {problems}",
-                            {"problems": problems},
-                        )
-                    )
-                checks += 1
-                if oracle_infeasible:
-                    violations.append(
-                        Violation(
-                            "constrained_soundness",
-                            "solver accepted a placement on an instance the "
-                            "exact referee proved infeasible",
-                            {"placement": result.placement},
-                        )
-                    )
-                else:
-                    violations += check_oracle_floor(result, oracle, rtol=rtol)
-            elif outcome == "infeasible":
-                checks += 1
-                if oracle is not None and not oracle_infeasible:
-                    violations.append(
-                        Violation(
-                            "constrained_completeness",
-                            "solver declared the instance infeasible but the "
-                            "exact referee found a feasible placement "
-                            f"(cost {float(oracle.cost)!r})",
-                            {"oracle_cost": float(oracle.cost)},
-                        )
-                    )
-
-            if result is not None:
-                checks += 1
-                try:
-                    replayed = _solve_spec(
-                        spec, topology, flows, prev, constraints
-                    )
-                except InfeasibleError:
-                    replayed = None
-                if replayed is None or json.dumps(
-                    result.to_dict(), sort_keys=True
-                ) != json.dumps(replayed.to_dict(), sort_keys=True):
-                    violations.append(
-                        Violation(
-                            "constrained_determinism",
-                            "re-running the same spec changed the result",
-                            {},
-                        )
-                    )
-    except Exception as exc:  # a crash on a generated scenario is a finding
-        violations.append(
-            Violation(
-                "exception",
-                f"{type(exc).__name__}: {exc}",
-                {"error": repr(exc)},
-            )
-        )
-        outcome = "error"
-    if violations:
-        count("constrained_violations", len(violations))
-    return {
-        "case_id": spec.case_id,
-        "family": spec.family,
-        "policy": f"{spec.mode}:{spec.algo}",
-        "outcome": outcome,
-        "checks": checks,
-        "violations": [v.to_dict() for v in violations],
-        "spec": spec.to_dict(),
-    }
+    return audit_case(
+        "constrained",
+        spec,
+        {"policy": f"{spec.mode}:{spec.algo}"},
+        partial(_audit_constrained_case, spec, rtol),
+    )
 
 
-@dataclass(frozen=True)
-class ConstrainedCampaignConfig:
-    cases: int = 100
-    seed: int = 0
-    workers: int = 1
-    rtol: float = DEFAULT_RTOL
-    journal_path: str | Path | None = None
-    report_path: str | Path | None = None
-
-
-def run_constrained_campaign(config: ConstrainedCampaignConfig) -> dict:
-    """Run the constrained campaign; returns the JSON-friendly report dict."""
-    from repro.runtime.resilience import ResilienceConfig
-
-    start = time.perf_counter()
-    hits_before = counters().get("journal_hits", 0)
-    specs = generate_constrained_cases(config.seed, config.cases)
-    tasks = [(spec, config.rtol) for spec in specs]
-    journal = Journal(config.journal_path) if config.journal_path else None
-    try:
-        resilience = ResilienceConfig(
-            scope=f"verify-constrained@{config.seed}", journal=journal
-        )
-        records = map_tasks(
-            run_constrained_case, tasks,
-            workers=config.workers, resilience=resilience,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    failures = [r for r in records if r["violations"]]
-    elapsed = time.perf_counter() - start
-    report = {
-        "config": {
-            "cases": config.cases,
-            "seed": config.seed,
-            "workers": config.workers,
-            "rtol": config.rtol,
-        },
-        "cases": len(records),
-        "checks": int(sum(r["checks"] for r in records)),
-        "violations": int(sum(len(r["violations"]) for r in records)),
-        "coverage": {
-            "by_family": dict(Counter(r["family"] for r in records)),
-            "by_policy": dict(Counter(r["policy"] for r in records)),
-            "by_outcome": dict(Counter(r["outcome"] for r in records)),
-        },
-        "failures": failures,
-        "runtime": {
-            "elapsed_seconds": elapsed,
-            "workers": config.workers,
-            "journal_hits": counters().get("journal_hits", 0) - hits_before,
-        },
-    }
-    if config.report_path:
-        from repro.utils.results_io import write_text_atomic
-
-        write_text_atomic(Path(config.report_path), json.dumps(report, indent=2))
-    return report
+CONSTRAINED = CampaignFamily(
+    name="constrained",
+    scope="verify-constrained",
+    default_cases=200,
+    generate=generate_constrained_cases,
+    run_case=run_constrained_case,
+    coverage=tally("family", "policy", "outcome"),
+    describe=lambda f: f"{f['policy']} on {f['family']}",
+)

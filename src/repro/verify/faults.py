@@ -26,23 +26,18 @@ exception, is a finding.
 from __future__ import annotations
 
 import json
-import time
-from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
 from repro.core.placement import dp_placement
 from repro.errors import InfeasibleError
 from repro.faults import FaultConfig, FaultProcess, degrade
-from repro.runtime.executor import map_tasks
-from repro.runtime.instrument import count, counters
-from repro.runtime.journal import Journal
-from repro.runtime.resilience import ResilienceConfig
 from repro.sim.engine import DayResult, simulate_day
 from repro.sim.policies import MParetoPolicy, NoMigrationPolicy
 from repro.topology.base import Topology
+from repro.verify.campaign import CampaignFamily, CaseLog, audit_case, tally
 from repro.verify.invariants import (
     DEFAULT_RTOL,
     Violation,
@@ -60,8 +55,7 @@ __all__ = [
     "generate_fault_cases",
     "check_fault_day",
     "run_fault_case",
-    "FaultCampaignConfig",
-    "run_fault_campaign",
+    "FAULTS",
 ]
 
 #: topology ladders big enough that a failed switch or two leaves a
@@ -343,6 +337,63 @@ def check_fault_day(
     return violations
 
 
+def _audit_fault_case(spec: FaultCaseSpec, rtol: float, log: CaseLog) -> None:
+    topology, flows, rate_process, faults = spec.build()
+    try:
+        day = spec.simulate()
+    except InfeasibleError as exc:
+        # a diagnosed infeasibility is the documented outcome for a
+        # fabric that lost too much; only an undiagnosed one is a bug
+        if exc.diagnosis.get("reason"):
+            log.outcome = "infeasible"
+            log.checks += 1
+        else:
+            log.violations.append(
+                Violation(
+                    "fault_infeasible_diagnosis",
+                    f"InfeasibleError without diagnosis: {exc}",
+                    {"error": repr(exc)},
+                )
+            )
+        return
+    log.checks += 1
+    log.violations += check_fault_day(
+        topology, flows, rate_process, faults, day, mu=spec.mu, rtol=rtol
+    )
+    # determinism: fresh policy + fresh fault process, same bytes
+    log.checks += 1
+    replay = spec.simulate()
+    a = json.dumps(day.to_dict(), sort_keys=True)
+    b = json.dumps(replay.to_dict(), sort_keys=True)
+    if a != b:
+        log.violations.append(
+            Violation(
+                "fault_determinism",
+                "re-simulating the same spec changed the DayResult",
+                {"len_first": len(a), "len_second": len(b)},
+            )
+        )
+    log.checks += 1
+    trace_a = json.dumps(faults.to_dict(), sort_keys=True)
+    trace_b = json.dumps(
+        FaultProcess(
+            topology,
+            spec.fault_config(),
+            seed=spec.fault_seed,
+            horizon=spec.horizon,
+        ).to_dict(),
+        sort_keys=True,
+    )
+    if trace_a != trace_b:
+        log.violations.append(
+            Violation(
+                "fault_trace_determinism",
+                "rebuilding the fault process changed its trace",
+                {},
+            )
+        )
+
+
 def run_fault_case(task) -> dict:
     """Simulate, audit and determinism-check one fault case.
 
@@ -350,142 +401,20 @@ def run_fault_case(task) -> dict:
     can run in worker processes and be journalled for resume.
     """
     spec, rtol = task
-    count("fault_cases")
-    violations: list[Violation] = []
-    outcome = "completed"
-    checks = 0
-    try:
-        topology, flows, rate_process, faults = spec.build()
-        try:
-            day = spec.simulate()
-        except InfeasibleError as exc:
-            # a diagnosed infeasibility is the documented outcome for a
-            # fabric that lost too much; only an undiagnosed one is a bug
-            if exc.diagnosis.get("reason"):
-                outcome = "infeasible"
-                checks += 1
-            else:
-                violations.append(
-                    Violation(
-                        "fault_infeasible_diagnosis",
-                        f"InfeasibleError without diagnosis: {exc}",
-                        {"error": repr(exc)},
-                    )
-                )
-            day = None
-        if day is not None:
-            checks += 1
-            violations += check_fault_day(
-                topology, flows, rate_process, faults, day,
-                mu=spec.mu, rtol=rtol,
-            )
-            # determinism: fresh policy + fresh fault process, same bytes
-            checks += 1
-            replay = spec.simulate()
-            a = json.dumps(day.to_dict(), sort_keys=True)
-            b = json.dumps(replay.to_dict(), sort_keys=True)
-            if a != b:
-                violations.append(
-                    Violation(
-                        "fault_determinism",
-                        "re-simulating the same spec changed the DayResult",
-                        {"len_first": len(a), "len_second": len(b)},
-                    )
-                )
-            checks += 1
-            trace_a = json.dumps(faults.to_dict(), sort_keys=True)
-            trace_b = json.dumps(
-                FaultProcess(
-                    topology,
-                    spec.fault_config(),
-                    seed=spec.fault_seed,
-                    horizon=spec.horizon,
-                ).to_dict(),
-                sort_keys=True,
-            )
-            if trace_a != trace_b:
-                violations.append(
-                    Violation(
-                        "fault_trace_determinism",
-                        "rebuilding the fault process changed its trace",
-                        {},
-                    )
-                )
-    except Exception as exc:  # a crash on a generated scenario is a finding
-        violations.append(
-            Violation(
-                "exception",
-                f"{type(exc).__name__}: {exc}",
-                {"error": repr(exc)},
-            )
-        )
-        outcome = "error"
-    if violations:
-        count("fault_violations", len(violations))
-    return {
-        "case_id": spec.case_id,
-        "family": spec.family,
-        "policy": spec.policy,
-        "outcome": outcome,
-        "checks": checks,
-        "violations": [v.to_dict() for v in violations],
-        "spec": spec.to_dict(),
-    }
+    return audit_case(
+        "fault",
+        spec,
+        {"policy": spec.policy},
+        partial(_audit_fault_case, spec, rtol),
+    )
 
 
-@dataclass(frozen=True)
-class FaultCampaignConfig:
-    cases: int = 100
-    seed: int = 0
-    workers: int = 1
-    rtol: float = DEFAULT_RTOL
-    journal_path: str | Path | None = None
-    report_path: str | Path | None = None
-
-
-def run_fault_campaign(config: FaultCampaignConfig) -> dict:
-    """Run the fault campaign; returns the JSON-friendly report dict."""
-    start = time.perf_counter()
-    hits_before = counters().get("journal_hits", 0)
-    specs = generate_fault_cases(config.seed, config.cases)
-    tasks = [(spec, config.rtol) for spec in specs]
-    journal = Journal(config.journal_path) if config.journal_path else None
-    try:
-        resilience = ResilienceConfig(
-            scope=f"verify-faults@{config.seed}", journal=journal
-        )
-        records = map_tasks(
-            run_fault_case, tasks, workers=config.workers, resilience=resilience
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    failures = [r for r in records if r["violations"]]
-    elapsed = time.perf_counter() - start
-    report = {
-        "config": {
-            "cases": config.cases,
-            "seed": config.seed,
-            "workers": config.workers,
-            "rtol": config.rtol,
-        },
-        "cases": len(records),
-        "checks": int(sum(r["checks"] for r in records)),
-        "violations": int(sum(len(r["violations"]) for r in records)),
-        "coverage": {
-            "by_family": dict(Counter(r["family"] for r in records)),
-            "by_policy": dict(Counter(r["policy"] for r in records)),
-            "by_outcome": dict(Counter(r["outcome"] for r in records)),
-        },
-        "failures": failures,
-        "runtime": {
-            "elapsed_seconds": elapsed,
-            "workers": config.workers,
-            "journal_hits": counters().get("journal_hits", 0) - hits_before,
-        },
-    }
-    if config.report_path:
-        from repro.utils.results_io import write_text_atomic
-
-        write_text_atomic(Path(config.report_path), json.dumps(report, indent=2))
-    return report
+FAULTS = CampaignFamily(
+    name="faults",
+    scope="verify-faults",
+    default_cases=100,
+    generate=generate_fault_cases,
+    run_case=run_fault_case,
+    coverage=tally("family", "policy", "outcome"),
+    describe=lambda f: f"{f['policy']} on {f['family']}",
+)

@@ -31,10 +31,7 @@ but then *both* paths must diagnose it identically.
 from __future__ import annotations
 
 import json
-import time
-from collections import Counter
-from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
@@ -44,22 +41,19 @@ from repro.faults import FaultProcess, degrade
 from repro.graphs.apsp import edges_to_csr
 from repro.graphs.incremental import DynamicAPSP
 from repro.runtime.cache import ComputeCache, set_compute_cache
-from repro.runtime.executor import map_tasks
-from repro.runtime.instrument import count, counters, snapshot, snapshot_delta
-from repro.runtime.journal import Journal
-from repro.runtime.resilience import ResilienceConfig
+from repro.runtime.instrument import snapshot, snapshot_delta
 from repro.sim.engine import simulate_day
 from repro.topology.base import Topology
+from repro.verify.campaign import CampaignFamily, CaseLog, audit_case, tally
 from repro.verify.faults import FaultCaseSpec, generate_fault_cases
-from repro.verify.invariants import DEFAULT_RTOL, Violation
+from repro.verify.invariants import Violation
 
 __all__ = [
     "generate_incremental_cases",
     "check_dynamic_tables",
     "check_incremental_day",
     "run_incremental_case",
-    "IncrementalCampaignConfig",
-    "run_incremental_campaign",
+    "INCREMENTAL",
 ]
 
 
@@ -269,98 +263,35 @@ def check_incremental_day(
     return violations, checks, "ok"
 
 
+def _audit_incremental_case(spec: FaultCaseSpec, log: CaseLog) -> None:
+    topology, _flows, _rates, faults = spec.build()
+    table_violations, table_checks = check_dynamic_tables(topology, faults)
+    log.violations += table_violations
+    log.checks += table_checks
+    day_violations, day_checks, day_outcome = check_incremental_day(spec)
+    log.violations += day_violations
+    log.checks += day_checks
+    if day_outcome == "infeasible":
+        log.outcome = "infeasible"
+
+
 def run_incremental_case(task) -> dict:
     """Table-level + day-level checks for one seeded case (picklable)."""
     spec, _rtol = task
-    count("incremental_cases")
-    violations: list[Violation] = []
-    outcome = "completed"
-    checks = 0
-    try:
-        topology, _flows, _rates, faults = spec.build()
-        table_violations, table_checks = check_dynamic_tables(topology, faults)
-        violations += table_violations
-        checks += table_checks
-        day_violations, day_checks, day_outcome = check_incremental_day(spec)
-        violations += day_violations
-        checks += day_checks
-        if day_outcome == "infeasible":
-            outcome = "infeasible"
-    except Exception as exc:  # a crash on a generated scenario is a finding
-        violations.append(
-            Violation(
-                "exception",
-                f"{type(exc).__name__}: {exc}",
-                {"error": repr(exc)},
-            )
-        )
-        outcome = "error"
-    if violations:
-        count("incremental_violations", len(violations))
-    return {
-        "case_id": spec.case_id,
-        "family": spec.family,
-        "policy": spec.policy,
-        "outcome": outcome,
-        "checks": checks,
-        "violations": [v.to_dict() for v in violations],
-        "spec": spec.to_dict(),
-    }
+    return audit_case(
+        "incremental",
+        spec,
+        {"policy": spec.policy},
+        partial(_audit_incremental_case, spec),
+    )
 
 
-@dataclass(frozen=True)
-class IncrementalCampaignConfig:
-    cases: int = 200
-    seed: int = 0
-    workers: int = 1
-    rtol: float = DEFAULT_RTOL
-    journal_path: str | Path | None = None
-    report_path: str | Path | None = None
-
-
-def run_incremental_campaign(config: IncrementalCampaignConfig) -> dict:
-    """Run the incremental campaign; returns the JSON-friendly report dict."""
-    start = time.perf_counter()
-    hits_before = counters().get("journal_hits", 0)
-    specs = generate_incremental_cases(config.seed, config.cases)
-    tasks = [(spec, config.rtol) for spec in specs]
-    journal = Journal(config.journal_path) if config.journal_path else None
-    try:
-        resilience = ResilienceConfig(
-            scope=f"verify-incremental@{config.seed}", journal=journal
-        )
-        records = map_tasks(
-            run_incremental_case, tasks, workers=config.workers, resilience=resilience
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    failures = [r for r in records if r["violations"]]
-    elapsed = time.perf_counter() - start
-    report = {
-        "config": {
-            "cases": config.cases,
-            "seed": config.seed,
-            "workers": config.workers,
-            "rtol": config.rtol,
-        },
-        "cases": len(records),
-        "checks": int(sum(r["checks"] for r in records)),
-        "violations": int(sum(len(r["violations"]) for r in records)),
-        "coverage": {
-            "by_family": dict(Counter(r["family"] for r in records)),
-            "by_policy": dict(Counter(r["policy"] for r in records)),
-            "by_outcome": dict(Counter(r["outcome"] for r in records)),
-        },
-        "failures": failures,
-        "runtime": {
-            "elapsed_seconds": elapsed,
-            "workers": config.workers,
-            "journal_hits": counters().get("journal_hits", 0) - hits_before,
-        },
-    }
-    if config.report_path:
-        from repro.utils.results_io import write_text_atomic
-
-        write_text_atomic(Path(config.report_path), json.dumps(report, indent=2))
-    return report
+INCREMENTAL = CampaignFamily(
+    name="incremental",
+    scope="verify-incremental",
+    default_cases=200,
+    generate=generate_incremental_cases,
+    run_case=run_incremental_case,
+    coverage=tally("family", "policy", "outcome"),
+    describe=lambda f: f"{f['policy']} on {f['family']}",
+)

@@ -39,10 +39,9 @@ a violation.
 from __future__ import annotations
 
 import json
-import time
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
@@ -50,12 +49,9 @@ from repro.core.placement import dp_placement
 from repro.core.replication import ReplicaSet, exact_replication_step
 from repro.errors import InfeasibleError
 from repro.faults import FaultConfig, FaultProcess, degrade
-from repro.runtime.executor import map_tasks
-from repro.runtime.instrument import count, counters
-from repro.runtime.journal import Journal
-from repro.runtime.resilience import ResilienceConfig
 from repro.sim.engine import DayResult, simulate_day
 from repro.sim.policies import MParetoPolicy, TomReplicationPolicy
+from repro.verify.campaign import CampaignFamily, CaseLog, audit_case
 from repro.verify.faults import FAULT_FAMILIES
 from repro.verify.invariants import DEFAULT_RTOL, Violation
 from repro.verify.scenarios import FAMILIES, sample_rates
@@ -71,8 +67,7 @@ __all__ = [
     "recompute_serving_cost",
     "check_replication_day",
     "run_replication_case",
-    "ReplicationCampaignConfig",
-    "run_replication_campaign",
+    "REPLICATION",
 ]
 
 #: same fabric ladder as the faults family: big enough that replicas
@@ -608,6 +603,123 @@ def _simulate_or_none(
         raise
 
 
+def _audit_replication_case(
+    spec: ReplicationCaseSpec, rtol: float, log: CaseLog
+) -> None:
+    topology, flows, rate_process, faults = spec.build()
+    try:
+        day = spec.simulate()
+    except InfeasibleError as exc:
+        if exc.diagnosis.get("reason"):
+            log.outcome = "infeasible"
+            log.checks += 1
+        else:
+            log.violations.append(
+                Violation(
+                    "replication_infeasible_diagnosis",
+                    f"InfeasibleError without diagnosis: {exc}",
+                    {"error": repr(exc)},
+                )
+            )
+        return
+    log.checks += 1
+    log.violations += check_replication_day(
+        topology, flows, rate_process, faults, day, spec, rtol=rtol
+    )
+
+    # ρ→0 anchor: replication disabled == plain TOM, byte for byte.
+    # The anchor runs follow the *no-replica* trajectory, which on
+    # a faulty fabric may go (diagnosed-)infeasible even when the
+    # replicated day survived — but ρ=0, ρ→∞ and mpareto all walk
+    # the same trajectory, so they must agree in fate too.
+    log.checks += 1
+    zero = _simulate_or_none(spec, rho=0.0)
+    plain = _simulate_or_none(spec, policy="mpareto")
+    never = _simulate_or_none(spec, rho=RHO_NEVER)
+    if (zero is None) != (plain is None) or (
+        zero is not None and _stripped(zero) != _stripped(plain)
+    ):
+        log.violations.append(
+            Violation(
+                "replication_rho0_anchor",
+                "rho=0 day is not byte-identical to the mpareto day",
+                {"case_id": spec.case_id},
+            )
+        )
+
+    # ρ→∞ anchor: the dominance gate never opens, so nothing ever
+    # replicates.  For the greedy the no-replica hours *adopt* the
+    # mPareto step's own floats, so the records are additionally
+    # byte-identical to plain TOM's; the exact lattice instead
+    # enumerates every migration frontier (a strictly stronger
+    # migrate policy), so only the structural half applies there.
+    log.checks += 1
+    if never is not None and never.total_replications != 0:
+        log.violations.append(
+            Violation(
+                "replication_rho_inf_anchor",
+                "rho→∞ day still replicated",
+                {
+                    "case_id": spec.case_id,
+                    "replications": never.total_replications,
+                },
+            )
+        )
+    elif not spec.exact and (
+        (never is None) != (plain is None)
+        or (
+            never is not None
+            and _records_json(never) != _records_json(plain)
+        )
+    ):
+        log.violations.append(
+            Violation(
+                "replication_rho_inf_anchor",
+                "rho→∞ greedy day diverged from the mpareto records",
+                {"case_id": spec.case_id},
+            )
+        )
+
+    # determinism: fresh everything, same bytes
+    log.checks += 1
+    replay = spec.simulate()
+    if _stripped(day) != _stripped(replay):
+        log.violations.append(
+            Violation(
+                "replication_determinism",
+                "re-simulating the same spec changed the DayResult",
+                {"case_id": spec.case_id},
+            )
+        )
+
+    # exact-oracle floor on every logged hour (fault-free cases)
+    if faults is None:
+        log.checks += 1
+        log.violations += check_oracle_replay(
+            topology, flows, rate_process, day, spec, rtol=rtol
+        )
+
+    # dropped traffic is placement-independent, so replicas can
+    # never change it: byte-equal series against the mpareto day
+    if (
+        faults is not None
+        and plain is not None
+        and len(day.records) == len(plain.records)
+    ):
+        log.checks += 1
+        mine = [r.dropped_traffic for r in day.records]
+        theirs = [r.dropped_traffic for r in plain.records]
+        if mine != theirs:
+            log.violations.append(
+                Violation(
+                    "replication_dropped",
+                    "dropped_traffic series diverged from the "
+                    "no-replica run on the same fault stream",
+                    {"case_id": spec.case_id},
+                )
+            )
+
+
 def run_replication_case(task) -> dict:
     """Simulate, audit, anchor-check and determinism-check one case.
 
@@ -615,211 +727,34 @@ def run_replication_case(task) -> dict:
     can run in worker processes and be journalled for resume.
     """
     spec, rtol = task
-    count("replication_cases")
-    violations: list[Violation] = []
-    outcome = "completed"
-    checks = 0
-    try:
-        topology, flows, rate_process, faults = spec.build()
-        try:
-            day = spec.simulate()
-        except InfeasibleError as exc:
-            if exc.diagnosis.get("reason"):
-                outcome = "infeasible"
-                checks += 1
-            else:
-                violations.append(
-                    Violation(
-                        "replication_infeasible_diagnosis",
-                        f"InfeasibleError without diagnosis: {exc}",
-                        {"error": repr(exc)},
-                    )
-                )
-            day = None
-        if day is not None:
-            checks += 1
-            violations += check_replication_day(
-                topology, flows, rate_process, faults, day, spec, rtol=rtol
-            )
-
-            # ρ→0 anchor: replication disabled == plain TOM, byte for byte.
-            # The anchor runs follow the *no-replica* trajectory, which on
-            # a faulty fabric may go (diagnosed-)infeasible even when the
-            # replicated day survived — but ρ=0, ρ→∞ and mpareto all walk
-            # the same trajectory, so they must agree in fate too.
-            checks += 1
-            zero = _simulate_or_none(spec, rho=0.0)
-            plain = _simulate_or_none(spec, policy="mpareto")
-            never = _simulate_or_none(spec, rho=RHO_NEVER)
-            if (zero is None) != (plain is None) or (
-                zero is not None and _stripped(zero) != _stripped(plain)
-            ):
-                violations.append(
-                    Violation(
-                        "replication_rho0_anchor",
-                        "rho=0 day is not byte-identical to the mpareto day",
-                        {"case_id": spec.case_id},
-                    )
-                )
-
-            # ρ→∞ anchor: the dominance gate never opens, so nothing ever
-            # replicates.  For the greedy the no-replica hours *adopt* the
-            # mPareto step's own floats, so the records are additionally
-            # byte-identical to plain TOM's; the exact lattice instead
-            # enumerates every migration frontier (a strictly stronger
-            # migrate policy), so only the structural half applies there.
-            checks += 1
-            if never is not None and never.total_replications != 0:
-                violations.append(
-                    Violation(
-                        "replication_rho_inf_anchor",
-                        "rho→∞ day still replicated",
-                        {
-                            "case_id": spec.case_id,
-                            "replications": never.total_replications,
-                        },
-                    )
-                )
-            elif not spec.exact and (
-                (never is None) != (plain is None)
-                or (
-                    never is not None
-                    and _records_json(never) != _records_json(plain)
-                )
-            ):
-                violations.append(
-                    Violation(
-                        "replication_rho_inf_anchor",
-                        "rho→∞ greedy day diverged from the mpareto records",
-                        {"case_id": spec.case_id},
-                    )
-                )
-
-            # determinism: fresh everything, same bytes
-            checks += 1
-            replay = spec.simulate()
-            if _stripped(day) != _stripped(replay):
-                violations.append(
-                    Violation(
-                        "replication_determinism",
-                        "re-simulating the same spec changed the DayResult",
-                        {"case_id": spec.case_id},
-                    )
-                )
-
-            # exact-oracle floor on every logged hour (fault-free cases)
-            if faults is None:
-                checks += 1
-                violations += check_oracle_replay(
-                    topology, flows, rate_process, day, spec, rtol=rtol
-                )
-
-            # dropped traffic is placement-independent, so replicas can
-            # never change it: byte-equal series against the mpareto day
-            if (
-                faults is not None
-                and plain is not None
-                and len(day.records) == len(plain.records)
-            ):
-                checks += 1
-                mine = [r.dropped_traffic for r in day.records]
-                theirs = [r.dropped_traffic for r in plain.records]
-                if mine != theirs:
-                    violations.append(
-                        Violation(
-                            "replication_dropped",
-                            "dropped_traffic series diverged from the "
-                            "no-replica run on the same fault stream",
-                            {"case_id": spec.case_id},
-                        )
-                    )
-    except Exception as exc:  # a crash on a generated scenario is a finding
-        violations.append(
-            Violation(
-                "exception",
-                f"{type(exc).__name__}: {exc}",
-                {"error": repr(exc)},
-            )
-        )
-        outcome = "error"
-    if violations:
-        count("replication_violations", len(violations))
-    return {
-        "case_id": spec.case_id,
-        "family": spec.family,
-        "faulty": spec.faulty,
-        "exact": spec.exact,
-        "outcome": outcome,
-        "checks": checks,
-        "violations": [v.to_dict() for v in violations],
-        "spec": spec.to_dict(),
-    }
-
-
-@dataclass(frozen=True)
-class ReplicationCampaignConfig:
-    cases: int = 100
-    seed: int = 0
-    workers: int = 1
-    rtol: float = DEFAULT_RTOL
-    journal_path: str | Path | None = None
-    report_path: str | Path | None = None
-
-
-def run_replication_campaign(config: ReplicationCampaignConfig) -> dict:
-    """Run the replication campaign; returns the JSON-friendly report dict."""
-    start = time.perf_counter()
-    hits_before = counters().get("journal_hits", 0)
-    specs = generate_replication_cases(config.seed, config.cases)
-    tasks = [(spec, config.rtol) for spec in specs]
-    journal = Journal(config.journal_path) if config.journal_path else None
-    try:
-        resilience = ResilienceConfig(
-            scope=f"verify-replication@{config.seed}", journal=journal
-        )
-        records = map_tasks(
-            run_replication_case, tasks, workers=config.workers,
-            resilience=resilience,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    failures = [r for r in records if r["violations"]]
-    elapsed = time.perf_counter() - start
-    replicated = sum(
-        1 for r in records if r["outcome"] == "completed"
+    return audit_case(
+        "replication",
+        spec,
+        {"faulty": spec.faulty, "exact": spec.exact},
+        partial(_audit_replication_case, spec, rtol),
     )
-    report = {
-        "config": {
-            "cases": config.cases,
-            "seed": config.seed,
-            "workers": config.workers,
-            "rtol": config.rtol,
-        },
-        "cases": len(records),
-        "checks": int(sum(r["checks"] for r in records)),
-        "violations": int(sum(len(r["violations"]) for r in records)),
-        "coverage": {
-            "by_family": dict(Counter(r["family"] for r in records)),
-            "by_mode": dict(
-                Counter(
-                    ("faulty" if r["faulty"] else "fault_free")
-                    + ("+exact" if r["exact"] else "")
-                    for r in records
-                )
-            ),
-            "by_outcome": dict(Counter(r["outcome"] for r in records)),
-            "completed": replicated,
-        },
-        "failures": failures,
-        "runtime": {
-            "elapsed_seconds": elapsed,
-            "workers": config.workers,
-            "journal_hits": counters().get("journal_hits", 0) - hits_before,
-        },
-    }
-    if config.report_path:
-        from repro.utils.results_io import write_text_atomic
 
-        write_text_atomic(Path(config.report_path), json.dumps(report, indent=2))
-    return report
+
+def _replication_mode(record: dict) -> str:
+    mode = "faulty" if record["faulty"] else "fault_free"
+    return mode + ("+exact" if record["exact"] else "")
+
+
+def _replication_coverage(records: list[dict]) -> dict:
+    return {
+        "by_family": dict(Counter(r["family"] for r in records)),
+        "by_mode": dict(Counter(_replication_mode(r) for r in records)),
+        "by_outcome": dict(Counter(r["outcome"] for r in records)),
+        "completed": sum(1 for r in records if r["outcome"] == "completed"),
+    }
+
+
+REPLICATION = CampaignFamily(
+    name="replication",
+    scope="verify-replication",
+    default_cases=100,
+    generate=generate_replication_cases,
+    run_case=run_replication_case,
+    coverage=_replication_coverage,
+    describe=lambda f: f"{_replication_mode(f)} on {f['family']}",
+)

@@ -31,20 +31,15 @@ chaos) must diagnose it identically.
 from __future__ import annotations
 
 import json
-import time
-from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
 from repro.core.placement import dp_placement
 from repro.errors import InfeasibleError
 from repro.faults import FaultConfig, FaultProcess
-from repro.runtime.executor import map_tasks
-from repro.runtime.instrument import count, counters
-from repro.runtime.journal import Journal
-from repro.runtime.resilience import ChaosConfig, ResilienceConfig
+from repro.runtime.resilience import ChaosConfig
 from repro.shard import ShardConfig, simulate_day_sharded
 from repro.sim.engine import DayResult, simulate_day
 from repro.sim.policies import (
@@ -53,8 +48,9 @@ from repro.sim.policies import (
     TomReplicationPolicy,
 )
 from repro.topology.base import Topology
+from repro.verify.campaign import CampaignFamily, CaseLog, audit_case, tally
 from repro.verify.faults import FAULT_FAMILIES
-from repro.verify.invariants import DEFAULT_RTOL, Violation
+from repro.verify.invariants import Violation
 from repro.verify.scenarios import FAMILIES, sample_rates
 from repro.workload.diurnal import DiurnalModel
 from repro.workload.dynamics import RedrawnRates
@@ -66,8 +62,7 @@ __all__ = [
     "ShardCaseSpec",
     "generate_shard_cases",
     "run_shard_case",
-    "ShardCampaignConfig",
-    "run_shard_campaign",
+    "SHARD",
 ]
 
 #: the three day shapes the sharded engine must reproduce exactly
@@ -303,165 +298,100 @@ def _outcome(simulate) -> tuple[str, str]:
     return ("ok", json.dumps(day.to_dict(), sort_keys=True))
 
 
+def _audit_shard_case(spec: ShardCaseSpec, log: CaseLog) -> None:
+    reference = _outcome(spec.simulate_unsharded)
+    if reference[0] == "infeasible":
+        log.outcome = "infeasible"
+
+    # oracle identity: default block size, every shard count
+    for num_shards in spec.shard_counts:
+        log.checks += 1
+        got = _outcome(lambda: spec.simulate_sharded(num_shards))
+        if got != reference:
+            log.violations.append(
+                Violation(
+                    "shard_oracle_bits",
+                    f"{num_shards}-shard day differs from the unsharded "
+                    f"oracle ({reference[0]!r} vs {got[0]!r})",
+                    {
+                        "num_shards": num_shards,
+                        "reference_kind": reference[0],
+                        "got_kind": got[0],
+                        "len_reference": len(reference[1]),
+                        "len_got": len(got[1]),
+                    },
+                )
+            )
+
+    # shard-count invariance in the multi-block regime
+    multi = [
+        (
+            num_shards,
+            _outcome(
+                lambda: spec.simulate_sharded(
+                    num_shards, block_size=MULTI_BLOCK_SIZE
+                )
+            ),
+        )
+        for num_shards in spec.shard_counts
+    ]
+    anchor_shards, anchor = multi[0]
+    for num_shards, got in multi[1:]:
+        log.checks += 1
+        if got != anchor:
+            log.violations.append(
+                Violation(
+                    "shard_count_invariance",
+                    f"multi-block day at {num_shards} shards differs "
+                    f"from the {anchor_shards}-shard run",
+                    {
+                        "block_size": MULTI_BLOCK_SIZE,
+                        "num_shards": num_shards,
+                        "anchor_shards": anchor_shards,
+                    },
+                )
+            )
+
+    # chaos immunity: crashes, kills, retries change nothing
+    if spec.chaos_seed >= 0:
+        log.checks += 1
+        shards = spec.shard_counts[-1]
+        chaotic = _outcome(
+            lambda: spec.simulate_sharded(shards, chaos=spec.chaos())
+        )
+        if chaotic != reference:
+            log.violations.append(
+                Violation(
+                    "shard_chaos_bits",
+                    f"chaos-injected {shards}-shard day differs from "
+                    "the unsharded oracle",
+                    {
+                        "num_shards": shards,
+                        "chaos_seed": spec.chaos_seed,
+                        "reference_kind": reference[0],
+                        "got_kind": chaotic[0],
+                    },
+                )
+            )
+
+
 def run_shard_case(task) -> dict:
     """Oracle identity + shard invariance + chaos immunity for one case."""
     spec, _rtol = task
-    count("shard_cases")
-    violations: list[Violation] = []
-    outcome = "completed"
-    checks = 0
-    try:
-        reference = _outcome(spec.simulate_unsharded)
-        if reference[0] == "infeasible":
-            outcome = "infeasible"
-
-        # oracle identity: default block size, every shard count
-        for num_shards in spec.shard_counts:
-            checks += 1
-            got = _outcome(lambda: spec.simulate_sharded(num_shards))
-            if got != reference:
-                violations.append(
-                    Violation(
-                        "shard_oracle_bits",
-                        f"{num_shards}-shard day differs from the unsharded "
-                        f"oracle ({reference[0]!r} vs {got[0]!r})",
-                        {
-                            "num_shards": num_shards,
-                            "reference_kind": reference[0],
-                            "got_kind": got[0],
-                            "len_reference": len(reference[1]),
-                            "len_got": len(got[1]),
-                        },
-                    )
-                )
-
-        # shard-count invariance in the multi-block regime
-        multi = [
-            (
-                num_shards,
-                _outcome(
-                    lambda: spec.simulate_sharded(
-                        num_shards, block_size=MULTI_BLOCK_SIZE
-                    )
-                ),
-            )
-            for num_shards in spec.shard_counts
-        ]
-        anchor_shards, anchor = multi[0]
-        for num_shards, got in multi[1:]:
-            checks += 1
-            if got != anchor:
-                violations.append(
-                    Violation(
-                        "shard_count_invariance",
-                        f"multi-block day at {num_shards} shards differs "
-                        f"from the {anchor_shards}-shard run",
-                        {
-                            "block_size": MULTI_BLOCK_SIZE,
-                            "num_shards": num_shards,
-                            "anchor_shards": anchor_shards,
-                        },
-                    )
-                )
-
-        # chaos immunity: crashes, kills, retries change nothing
-        if spec.chaos_seed >= 0:
-            checks += 1
-            shards = spec.shard_counts[-1]
-            chaotic = _outcome(
-                lambda: spec.simulate_sharded(shards, chaos=spec.chaos())
-            )
-            if chaotic != reference:
-                violations.append(
-                    Violation(
-                        "shard_chaos_bits",
-                        f"chaos-injected {shards}-shard day differs from "
-                        "the unsharded oracle",
-                        {
-                            "num_shards": shards,
-                            "chaos_seed": spec.chaos_seed,
-                            "reference_kind": reference[0],
-                            "got_kind": chaotic[0],
-                        },
-                    )
-                )
-    except Exception as exc:  # a crash on a generated scenario is a finding
-        violations.append(
-            Violation(
-                "exception",
-                f"{type(exc).__name__}: {exc}",
-                {"error": repr(exc)},
-            )
-        )
-        outcome = "error"
-    if violations:
-        count("shard_violations", len(violations))
-    return {
-        "case_id": spec.case_id,
-        "family": spec.family,
-        "day_kind": spec.day_kind,
-        "policy": spec.policy,
-        "outcome": outcome,
-        "checks": checks,
-        "violations": [v.to_dict() for v in violations],
-        "spec": spec.to_dict(),
-    }
+    return audit_case(
+        "shard",
+        spec,
+        {"day_kind": spec.day_kind, "policy": spec.policy},
+        partial(_audit_shard_case, spec),
+    )
 
 
-@dataclass(frozen=True)
-class ShardCampaignConfig:
-    cases: int = 200
-    seed: int = 0
-    workers: int = 1
-    rtol: float = DEFAULT_RTOL
-    journal_path: str | Path | None = None
-    report_path: str | Path | None = None
-
-
-def run_shard_campaign(config: ShardCampaignConfig) -> dict:
-    """Run the shard campaign; returns the JSON-friendly report dict."""
-    start = time.perf_counter()
-    hits_before = counters().get("journal_hits", 0)
-    specs = generate_shard_cases(config.seed, config.cases)
-    tasks = [(spec, config.rtol) for spec in specs]
-    journal = Journal(config.journal_path) if config.journal_path else None
-    try:
-        resilience = ResilienceConfig(
-            scope=f"verify-shard@{config.seed}", journal=journal
-        )
-        records = map_tasks(
-            run_shard_case, tasks, workers=config.workers, resilience=resilience
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    failures = [r for r in records if r["violations"]]
-    elapsed = time.perf_counter() - start
-    report = {
-        "config": {
-            "cases": config.cases,
-            "seed": config.seed,
-            "workers": config.workers,
-            "rtol": config.rtol,
-        },
-        "cases": len(records),
-        "checks": int(sum(r["checks"] for r in records)),
-        "violations": int(sum(len(r["violations"]) for r in records)),
-        "coverage": {
-            "by_family": dict(Counter(r["family"] for r in records)),
-            "by_day_kind": dict(Counter(r["day_kind"] for r in records)),
-            "by_policy": dict(Counter(r["policy"] for r in records)),
-            "by_outcome": dict(Counter(r["outcome"] for r in records)),
-        },
-        "failures": failures,
-        "runtime": {
-            "elapsed_seconds": elapsed,
-            "workers": config.workers,
-            "journal_hits": counters().get("journal_hits", 0) - hits_before,
-        },
-    }
-    if config.report_path:
-        from repro.utils.results_io import write_text_atomic
-
-        write_text_atomic(Path(config.report_path), json.dumps(report, indent=2))
-    return report
+SHARD = CampaignFamily(
+    name="shard",
+    scope="verify-shard",
+    default_cases=200,
+    generate=generate_shard_cases,
+    run_case=run_shard_case,
+    coverage=tally("family", "day_kind", "policy", "outcome"),
+    describe=lambda f: f"{f['policy']} on {f['family']}, {f['day_kind']}",
+)

@@ -7,6 +7,8 @@ engine must detect the stall within its scan window and repair by
 inserting the cheapest missing nodes.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,3 +177,14 @@ class TestRepairInfNanTies:
         repaired = engine._repair_walk(walk, 2)
         assert repaired.tolist() == [0, 3, 5, 6]  # delta 1 + 1 - inf = -inf
         assert repaired.tolist() == loop_repair_walk(engine, walk, 2).tolist()
+
+    def test_nan_detour_repair_is_silent(self):
+        """The repair's expected ``inf - inf`` emits no RuntimeWarning."""
+        closure = self.two_islands()
+        closure[0, 5] = closure[5, 0] = np.inf
+        closure[3, 5] = closure[5, 3] = 1.0
+        engine = StrollEngine(closure, target=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            repaired = engine._repair_walk(np.asarray([0, 5, 6]), 2)
+        assert repaired.tolist() == [0, 3, 5, 6]

@@ -119,3 +119,52 @@ class TestCli:
         assert proc.stderr.startswith("error: unknown experiment 'fig11_dynamic'")
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+
+#: one bad input per subcommand: (argv, exit code)
+BAD_INPUTS = [
+    (["list", "extra"], 2),
+    (["run", "nonexistent"], EXIT_ERROR),
+    (["run-all", "--scale", "enormous"], 2),
+    (["verify", "--family", "nope"], 2),
+    (["verify", "--family", "faults", "--inject-case", "0"], EXIT_ERROR),
+    (["serve", "--k", "3", "--requests", "2"], EXIT_ERROR),
+]
+
+
+@pytest.fixture(scope="module")
+def bad_input_runs(tmp_path_factory):
+    """Every bad command line at once, each in a fresh interpreter."""
+    cwd = tmp_path_factory.mktemp("cli")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            cwd=cwd,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for argv, _ in BAD_INPUTS
+    ]
+    runs = {}
+    for (argv, _), proc in zip(BAD_INPUTS, procs):
+        _, stderr = proc.communicate(timeout=120)
+        runs[" ".join(argv)] = (proc.returncode, stderr)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "argv, code", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS]
+)
+def test_bad_input_exits_without_traceback(bad_input_runs, argv, code):
+    returncode, stderr = bad_input_runs[" ".join(argv)]
+    assert returncode == code, stderr
+    assert "Traceback" not in stderr
+    if code == EXIT_ERROR:
+        assert stderr.startswith("error: ")
+        assert stderr.count("\n") == 1
+    else:
+        assert "usage: repro" in stderr
+

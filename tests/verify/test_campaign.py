@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.verify import (
+    CAMPAIGNS,
     CampaignConfig,
     CheckOptions,
     generate_cases,
@@ -17,11 +18,15 @@ from repro.verify import (
 
 SMOKE_CASES = 50
 
+CORE = CAMPAIGNS["core"]
+
 
 @pytest.fixture(scope="module")
 def smoke_report():
     """One shared tier-1 campaign: ~50 seeded cases, all checks on."""
-    return run_campaign(CampaignConfig(cases=SMOKE_CASES, seed=0, shrink=False))
+    return run_campaign(
+        CORE, CampaignConfig(cases=SMOKE_CASES, seed=0, shrink=False)
+    )
 
 
 class TestSmokeCampaign:
@@ -109,6 +114,7 @@ class TestShrinking:
             if s.mode == "place" and s.num_flows >= 4
         )
         report = run_campaign(
+            CORE,
             CampaignConfig(
                 cases=30, seed=0, inject_case=spec.case_id, inject_kind="cost"
             )
@@ -131,11 +137,13 @@ class TestJournalResume:
     def test_resumed_campaign_replays_from_journal(self, tmp_path):
         journal = tmp_path / "verify_journal.jsonl"
         first = run_campaign(
+            CORE,
             CampaignConfig(cases=15, seed=0, shrink=False, journal_path=journal)
         )
         assert first["runtime"]["journal_hits"] == 0
         # a *larger* re-run must replay the completed prefix, not resolve it
         second = run_campaign(
+            CORE,
             CampaignConfig(cases=30, seed=0, shrink=False, journal_path=journal)
         )
         assert second["runtime"]["journal_hits"] == 15
@@ -145,9 +153,11 @@ class TestJournalResume:
     def test_different_seed_gets_no_hits(self, tmp_path):
         journal = tmp_path / "verify_journal.jsonl"
         run_campaign(
+            CORE,
             CampaignConfig(cases=5, seed=0, shrink=False, journal_path=journal)
         )
         other = run_campaign(
+            CORE,
             CampaignConfig(cases=5, seed=1, shrink=False, journal_path=journal)
         )
         assert other["runtime"]["journal_hits"] == 0
@@ -157,6 +167,7 @@ class TestJournalResume:
 
         path = tmp_path / "report.json"
         run_campaign(
+            CORE,
             CampaignConfig(cases=3, seed=0, shrink=False, report_path=path)
         )
         assert json.loads(path.read_text())["cases"] == 3
@@ -165,5 +176,5 @@ class TestJournalResume:
 @pytest.mark.campaign
 def test_full_campaign_is_clean():
     """The nightly pin: the acceptance-criterion campaign, in-process."""
-    report = run_campaign(CampaignConfig(cases=500, seed=0))
+    report = run_campaign(CORE, CampaignConfig(cases=500, seed=0))
     assert report["violations"] == 0, report["failures"]

@@ -8,10 +8,11 @@ import pickle
 import pytest
 
 from repro.verify import (
-    ConstrainedCampaignConfig,
+    CAMPAIGNS,
+    CampaignConfig,
     ConstrainedCaseSpec,
     generate_constrained_cases,
-    run_constrained_campaign,
+    run_campaign,
     run_constrained_case,
 )
 
@@ -53,8 +54,8 @@ class TestSingleCase:
 
 class TestCampaign:
     def test_small_campaign_is_clean(self):
-        report = run_constrained_campaign(
-            ConstrainedCampaignConfig(cases=15, seed=0)
+        report = run_campaign(
+            CAMPAIGNS["constrained"], CampaignConfig(cases=15, seed=0)
         )
         assert report["cases"] == 15
         assert report["violations"] == 0
@@ -66,8 +67,9 @@ class TestCampaign:
 
     @pytest.mark.campaign
     def test_full_campaign_seed0(self, tmp_path):
-        report = run_constrained_campaign(
-            ConstrainedCampaignConfig(
+        report = run_campaign(
+            CAMPAIGNS["constrained"],
+            CampaignConfig(
                 cases=200,
                 seed=0,
                 workers=2,

@@ -7,11 +7,12 @@ import json
 import pytest
 
 from repro.verify import (
+    CAMPAIGNS,
+    CampaignConfig,
     FAULT_FAMILIES,
-    FaultCampaignConfig,
     check_fault_day,
     generate_fault_cases,
-    run_fault_campaign,
+    run_campaign,
     run_fault_case,
 )
 
@@ -23,7 +24,9 @@ SMOKE_CASES = 10
 @pytest.fixture(scope="module")
 def smoke_report():
     """One shared tier-1 fault campaign: ~10 seeded survivability days."""
-    return run_fault_campaign(FaultCampaignConfig(cases=SMOKE_CASES, seed=0))
+    return run_campaign(
+        CAMPAIGNS["faults"], CampaignConfig(cases=SMOKE_CASES, seed=0)
+    )
 
 
 class TestSmokeCampaign:

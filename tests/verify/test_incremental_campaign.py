@@ -7,12 +7,13 @@ import json
 import pytest
 
 from repro.verify import (
-    IncrementalCampaignConfig,
+    CAMPAIGNS,
+    CampaignConfig,
     check_dynamic_tables,
     check_incremental_day,
     generate_fault_cases,
     generate_incremental_cases,
-    run_incremental_campaign,
+    run_campaign,
     run_incremental_case,
 )
 
@@ -24,8 +25,8 @@ SMOKE_CASES = 8
 @pytest.fixture(scope="module")
 def smoke_report():
     """One shared tier-1 incremental campaign: ~8 seeded days, both paths."""
-    return run_incremental_campaign(
-        IncrementalCampaignConfig(cases=SMOKE_CASES, seed=0)
+    return run_campaign(
+        CAMPAIGNS["incremental"], CampaignConfig(cases=SMOKE_CASES, seed=0)
     )
 
 

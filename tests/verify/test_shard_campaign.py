@@ -7,10 +7,11 @@ import json
 import pytest
 
 from repro.verify import (
+    CAMPAIGNS,
+    CampaignConfig,
     SHARD_DAY_KINDS,
-    ShardCampaignConfig,
     generate_shard_cases,
-    run_shard_campaign,
+    run_campaign,
     run_shard_case,
 )
 
@@ -22,7 +23,9 @@ SMOKE_CASES = 6
 @pytest.fixture(scope="module")
 def smoke_report():
     """One shared tier-1 shard campaign: ~6 seeded days, every execution."""
-    return run_shard_campaign(ShardCampaignConfig(cases=SMOKE_CASES, seed=0))
+    return run_campaign(
+        CAMPAIGNS["shard"], CampaignConfig(cases=SMOKE_CASES, seed=0)
+    )
 
 
 class TestSmokeCampaign:
