@@ -36,7 +36,7 @@ import time
 
 import numpy as np
 
-from repro.runtime.resilience import ChaosConfig
+from repro.runtime.resilience import ChaosConfig, ResilienceConfig
 from repro.shard import ShardConfig, simulate_day_sharded
 from repro.sim.policies import MParetoPolicy
 from repro.topology.fattree import fat_tree
@@ -51,12 +51,9 @@ SPEEDUP_MIN_CORES = 4
 def _run_leg(topology, stream, placement, horizon, mu, *, num_shards,
              workers, chaos=None):
     config = ShardConfig(
-        num_shards=num_shards,
-        block_size=stream.chunk_size,
-        workers=workers,
-        chaos=chaos,
-        backoff_base=0.001,
+        num_shards=num_shards, block_size=stream.chunk_size, workers=workers
     )
+    resilience = ResilienceConfig(max_retries=3, backoff_base=0.001, chaos=chaos)
     report: dict = {}
     start = time.perf_counter()
     day = simulate_day_sharded(
@@ -68,6 +65,7 @@ def _run_leg(topology, stream, placement, horizon, mu, *, num_shards,
         range(1, horizon + 1),
         config=config,
         diurnal=DiurnalModel(num_hours=horizon),
+        resilience=resilience,
         report=report,
     )
     elapsed = time.perf_counter() - start

@@ -263,7 +263,10 @@ def _add_runtime_args(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         metavar="N",
-        help="extra attempts per failed replication/sweep point (default: 0)",
+        help=(
+            "extra attempts per failed replication, sweep point or shard "
+            "task (default: 0)"
+        ),
     )
     sub.add_argument(
         "--task-timeout",
@@ -316,9 +319,10 @@ def _add_runtime_args(sub: argparse.ArgumentParser) -> None:
         metavar="N",
         help=(
             "split each simulated day's flow population into N deterministic "
-            "shards aggregated by supervised pool workers (results are "
+            "shards aggregated on the worker pool (results are "
             "bit-identical to the unsharded loop; policies that need "
-            "per-flow access fall back to it automatically)"
+            "per-flow access fall back to it automatically); shard tasks "
+            "follow --max-retries and --task-timeout"
         ),
     )
     sub.add_argument(
@@ -514,6 +518,7 @@ def _run_serve(args, out) -> int:
     print(
         f"{summary['completed']}/{summary['requests']} served "
         f"({summary['shed_total']} shed, {summary['failed']} failed, "
+        f"{summary['infeasible']} infeasible, "
         f"{summary['degraded']} degraded, {summary['retried']} retried) "
         f"at {summary['rps']:.0f} rps",
         file=out,

@@ -118,6 +118,7 @@ class TaskError(ReproError):
         *,
         index: int | None = None,
         attempts: int | None = None,
+        error: str = "",
         worker_traceback: str = "",
     ) -> None:
         super().__init__(message)
@@ -125,6 +126,8 @@ class TaskError(ReproError):
         self.index = index
         #: how many attempts the task was given before giving up
         self.attempts = attempts
+        #: ``repr`` of the last attempt's error ("" if none)
+        self.error = error
         #: formatted traceback captured in the worker process ("" if none)
         self.worker_traceback = worker_traceback
 

@@ -195,7 +195,8 @@ def map_points(
     use :func:`completed_only` / :func:`zip_completed` to degrade
     gracefully while keeping point alignment.
     """
-    return get_executor(workers, resilience).map(fn, list(points))
+    with get_executor(workers, resilience) as executor:
+        return executor.map(fn, list(points))
 
 
 def completed_only(results: Sequence[Any]) -> list[Any]:

@@ -5,12 +5,16 @@ without giving up reproducibility — or results — when things break:
 
 * :mod:`repro.runtime.executor` — serial / process-parallel mapping of
   picklable task specs (``workers`` argument, order-preserving,
-  bit-identical to the serial path), plus the fault-injecting
-  :class:`~repro.runtime.executor.ChaosExecutor`;
+  bit-identical to the serial path).  Its ``ParallelExecutor`` is the
+  one supervised worker pool of the code base — experiment sweeps,
+  replications, verify campaigns and sharded days all run on it — and
+  the pool outlives one ``map`` until the executor is closed;
+  ``heartbeat()`` lets a long task push its deadline out, and
+  ``map(..., keys=)`` names tasks for the journal and the chaos draw;
 * :mod:`repro.runtime.resilience` — the failure policy the executors
   apply: bounded retries with deterministic backoff, per-task timeouts,
   broken-pool salvage, ``fail``/``skip`` failure handling, and seeded
-  chaos injection;
+  chaos injection (``ResilienceConfig.chaos``);
 * :mod:`repro.runtime.journal` — the append-only checkpoint journal
   behind ``repro run --resume``;
 * :mod:`repro.runtime.cache` — the bounded, observable
@@ -23,11 +27,11 @@ without giving up reproducibility — or results — when things break:
 
 from repro.runtime.cache import ComputeCache, get_compute_cache, set_compute_cache
 from repro.runtime.executor import (
-    ChaosExecutor,
     Executor,
     ParallelExecutor,
     SerialExecutor,
     get_executor,
+    heartbeat,
     map_tasks,
 )
 from repro.runtime.instrument import (
@@ -59,11 +63,11 @@ __all__ = [
     "get_compute_cache",
     "set_compute_cache",
     # executor
-    "ChaosExecutor",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
     "get_executor",
+    "heartbeat",
     "map_tasks",
     # resilience
     "ChaosConfig",

@@ -1,17 +1,19 @@
 """Serial / process-parallel execution of picklable task specs.
 
-The harness fans two shapes of work out across cores: the per-replication
-work of :func:`repro.sim.runner.run_replications` (workload draw → initial
-TOP placement → every policy's day) and the per-point work of experiment
-sweeps (:func:`repro.experiments.common.map_points`).  Both route through
-one :class:`Executor`:
+The harness fans three shapes of work out across cores: the
+per-replication work of :func:`repro.sim.runner.run_replications`
+(workload draw → initial TOP placement → every policy's day), the
+per-point work of experiment sweeps
+(:func:`repro.experiments.common.map_points`), and the per-shard work
+of a sharded day (:mod:`repro.shard`).  All route through one
+:class:`Executor`:
 
 * :class:`SerialExecutor` — a plain ordered loop in this process;
 * :class:`ParallelExecutor` — submit-based dispatch onto a
-  :class:`concurrent.futures.ProcessPoolExecutor`, preserving task order;
-* :class:`ChaosExecutor` — a fault-injecting wrapper around either, used
-  by the test suite to prove the resilience machinery keeps results
-  bit-identical under crashes, delays and timeouts.
+  :class:`concurrent.futures.ProcessPoolExecutor`, preserving task order.
+  The pool is forked on the first ``map`` and reused by later maps of
+  the same function until :meth:`~Executor.close` (or the end of a
+  ``with`` block), so a sharded day forks once, not once per hour.
 
 Tasks must be *self-contained and picklable* — a task carries everything
 its computation needs (topology, config, seeds), never shared mutable
@@ -31,36 +33,51 @@ explicitly) and applies its policy:
   killing its worker still exhausts its budget and terminates the loop);
 * a task exceeding ``task_timeout`` has its (hung) pool killed and is
   charged one timed-out attempt; innocent in-flight neighbours re-run
-  free of charge.  Serial execution cannot preempt a running task, so
-  there timeouts only classify injected/organic ``TimeoutError`` s;
+  free of charge.  The deadline counts from the later of dispatch and
+  the task's last :func:`heartbeat`, so a long task that reports
+  progress is never mistaken for a wedged one.  Serial execution cannot
+  preempt a running task, so there timeouts only classify
+  injected/organic ``TimeoutError`` s;
 * tasks that exhaust their budget either abort the map with
   :class:`~repro.errors.TaskError` (policy ``fail``) or leave a
   structured :class:`~repro.runtime.resilience.TaskFailure` in their
   result slot (policy ``skip``);
 * when a journal is attached, finished tasks are checkpointed and
-  journalled tasks are skipped on resume (counted as ``journal_hits``).
+  journalled tasks are skipped on resume (counted as ``journal_hits``);
+* chaos (``ResilienceConfig.chaos``) wraps the function in the seeded
+  fault injection of :func:`~repro.runtime.resilience.chaos_wrap`.
+
+A task's identity — its journal fingerprint and its chaos draw — is its
+position and content by default.  ``map(..., keys=)`` names each task
+instead: the fingerprint becomes ``task_fingerprint(scope, 0, key)``
+and the chaos draw ``fault_decision(chaos, key, attempt)``, so callers
+whose task payloads carry volatile parts (shared-memory segment names)
+still resume and draw faults by stable content.
 
 The function is shipped to each worker process *once* via the pool
 initializer (not pickled per task), and tasks are submitted individually
-— at most ``workers`` in flight — so submission time approximates start
-time, which is what makes the parent-side deadline enforcement honest.
+— at most one per worker in flight — so submission time approximates
+start time, which is what makes the parent-side deadline enforcement
+honest.
 
 Each worker process has its own compute cache and instrumentation; the
 worker-side shim captures an instrumentation snapshot delta (counters,
 phase timers, cache hits/misses) per task and the parent merges it back,
 so profiling reports see all work wherever it ran.  Both executors also
 time every task under the shared ``tasks`` timer, from which the report
-derives its speedup estimate.
+derives its speedup estimate, and tally their own dispatches, retries,
+timeouts, pool restarts and journal hits in :attr:`Executor.stats`.
 """
 
 from __future__ import annotations
 
 import builtins
 import heapq
+import multiprocessing
 import time
 import traceback as traceback_module
 from abc import ABC, abstractmethod
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
@@ -73,6 +90,7 @@ from repro.runtime.journal import task_fingerprint
 from repro.runtime.resilience import (
     ResilienceConfig,
     TaskFailure,
+    _ChaosFn,
     backoff_delay,
     chaos_wrap,
     get_resilience,
@@ -81,11 +99,11 @@ from repro.runtime.resilience import (
 from repro.utils.timing import Timer
 
 __all__ = [
-    "ChaosExecutor",
     "Executor",
     "ParallelExecutor",
     "SerialExecutor",
     "get_executor",
+    "heartbeat",
     "map_tasks",
 ]
 
@@ -99,21 +117,88 @@ class Executor(ABC):
     #: explicit policy override; ``None`` resolves the active one per map
     resilience: ResilienceConfig | None = None
 
+    def __init__(self, resilience: ResilienceConfig | None = None) -> None:
+        self.resilience = resilience
+        #: this executor's own tallies (``dispatched``, ``task_retries``,
+        #: ``task_timeouts``, ``pool_restarts``, ``journal_hits``, ...)
+        self.stats: Counter = Counter()
+
     @abstractmethod
-    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> list[Any]:
-        """Apply ``fn`` to every task, returning results in task order."""
+    def map(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Iterable[Any],
+        *,
+        keys: Sequence[str] | None = None,
+    ) -> list[Any]:
+        """Apply ``fn`` to every task, returning results in task order.
+
+        ``keys``, when given, names each task's identity for the journal
+        and the chaos draw (see the module docstring).
+        """
+
+    def close(self) -> None:
+        """Release any worker processes (idempotent)."""
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _config(self) -> ResilienceConfig:
         return self.resilience if self.resilience is not None else get_resilience()
 
+    def _count(self, name: str) -> None:
+        count(name)
+        self.stats[name] += 1
 
-def _call_fn(fn: Callable[[Any], Any], task: Any, attempt: int) -> Any:
+    def _lookup(self, config: ResilienceConfig, tasks, keys):
+        """Journal fingerprints (``None`` without a journal) and hits."""
+        if config.journal is None:
+            return None, {}
+        fingerprints = [
+            task_fingerprint(config.scope, 0, keys[i])
+            if keys is not None
+            else task_fingerprint(config.scope, i, task)
+            for i, task in enumerate(tasks)
+        ]
+        hits = {}
+        for i, fingerprint in enumerate(fingerprints):
+            hit, value = config.journal.lookup(fingerprint)
+            if hit:
+                self._count("journal_hits")
+                hits[i] = value
+        return fingerprints, hits
+
+    def _exhausted(
+        self, config: ResilienceConfig, failure: TaskFailure
+    ) -> TaskFailure:
+        """Apply the failure policy to a task that spent its budget."""
+        if config.on_failure == "skip":
+            self._count("tasks_skipped")
+            record_failure(failure)
+            return failure
+        raise TaskError(
+            f"task {failure.index} failed after {failure.attempts} attempt(s): "
+            f"{failure.error}",
+            index=failure.index,
+            attempts=failure.attempts,
+            error=failure.error,
+            worker_traceback=failure.traceback,
+        )
+
+
+def _call_fn(fn: Callable[[Any], Any], task: Any, attempt: int, key: Any) -> Any:
     """Invoke a task function, passing the attempt number when supported.
 
-    Attempt-aware callables (``accepts_attempt = True``, e.g. the chaos
-    wrapper) receive which attempt this is, so transient fault injection
-    can clear on retry; plain functions keep the one-argument contract.
+    Attempt-aware callables (``accepts_attempt = True``) receive which
+    attempt this is, so transient failures can clear on retry; the chaos
+    wrapper also receives the task's key (its fault-draw identity);
+    plain functions keep the one-argument contract.
     """
+    if isinstance(fn, _ChaosFn):
+        return fn(task, attempt, key)
     if getattr(fn, "accepts_attempt", False):
         return fn(task, attempt)
     return fn(task)
@@ -124,24 +209,27 @@ class SerialExecutor(Executor):
 
     workers = 1
 
-    def __init__(self, resilience: ResilienceConfig | None = None) -> None:
-        self.resilience = resilience
-
-    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> list[Any]:
+    def map(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Iterable[Any],
+        *,
+        keys: Sequence[str] | None = None,
+    ) -> list[Any]:
         config = self._config()
         fn = chaos_wrap(fn, config.chaos)
+        tasks = list(tasks)
+        fingerprints, hits = self._lookup(config, tasks, keys)
         results: list[Any] = []
         for index, task in enumerate(tasks):
-            if config.journal is not None:
-                fingerprint = task_fingerprint(config.scope, index, task)
-                hit, value = config.journal.lookup(fingerprint)
-                if hit:
-                    count("journal_hits")
-                    results.append(value)
-                    continue
-            else:
-                fingerprint = None
-            results.append(self._run_one(fn, index, task, config, fingerprint))
+            if index in hits:
+                results.append(hits[index])
+                continue
+            key = None if keys is None else keys[index]
+            result = self._run_one(fn, index, task, key, config)
+            if fingerprints is not None and not isinstance(result, TaskFailure):
+                config.journal.record(fingerprints[index], result)
+            results.append(result)
         return results
 
     def _run_one(
@@ -149,21 +237,22 @@ class SerialExecutor(Executor):
         fn: Callable[[Any], Any],
         index: int,
         task: Any,
+        key: Any,
         config: ResilienceConfig,
-        fingerprint: str | None,
     ) -> Any:
         failed_attempts = 0
         while True:
+            self.stats["dispatched"] += 1
             try:
                 with Timer.timed("tasks"):
-                    result = _call_fn(fn, task, failed_attempts)
+                    return _call_fn(fn, task, failed_attempts, key)
             except Exception as exc:
                 is_timeout = isinstance(exc, builtins.TimeoutError)
                 if is_timeout:
-                    count("task_timeouts")
+                    self._count("task_timeouts")
                 failed_attempts += 1
                 if failed_attempts <= config.max_retries:
-                    count("task_retries")
+                    self._count("task_retries")
                     delay = backoff_delay(config, index, failed_attempts)
                     if delay > 0:
                         time.sleep(delay)
@@ -175,20 +264,7 @@ class SerialExecutor(Executor):
                     traceback=traceback_module.format_exc(),
                     timeout=is_timeout,
                 )
-                if config.on_failure == "skip":
-                    count("tasks_skipped")
-                    record_failure(failure)
-                    return failure
-                raise TaskError(
-                    f"task {index} failed after {failed_attempts} attempt(s): "
-                    f"{failure.error}",
-                    index=index,
-                    attempts=failed_attempts,
-                    worker_traceback=failure.traceback,
-                ) from exc
-            if fingerprint is not None:
-                config.journal.record(fingerprint, result)
-            return result
+                return self._exhausted(config, failure)
 
 
 # -- worker-side shims --------------------------------------------------------
@@ -197,13 +273,32 @@ class SerialExecutor(Executor):
 #: instead of being pickled into every task payload
 _WORKER_FN: Callable[[Any], Any] | None = None
 
+#: the pool's shared heartbeat table (one monotonic timestamp per slot)
+#: and the slot of the task this worker is running; both ``None`` in
+#: the parent, where :func:`heartbeat` does nothing
+_BEATS: Any = None
+_SLOT: int | None = None
 
-def _init_worker(fn: Callable[[Any], Any]) -> None:
-    global _WORKER_FN
+
+def _init_worker(fn: Callable[[Any], Any], beats: Any) -> None:
+    global _WORKER_FN, _BEATS
     _WORKER_FN = fn
+    _BEATS = beats
 
 
-def _run_task(index: int, attempt: int, task: Any) -> tuple:
+def heartbeat() -> None:
+    """Report progress from inside a running task: its deadline restarts now.
+
+    Stamps ``time.monotonic()`` (system-wide on Linux) into the running
+    task's shared-memory slot; the parent counts ``task_timeout`` from
+    the later of dispatch and that stamp.  Outside a pool worker
+    (serial execution, or no task running) this does nothing.
+    """
+    if _BEATS is not None and _SLOT is not None:
+        _BEATS[_SLOT] = time.monotonic()
+
+
+def _run_task(index: int, attempt: int, task: Any, key: Any, slot: int) -> tuple:
     """Worker-side shim: run one task and report what happened and what it cost.
 
     Exceptions are caught *here*, in the worker, so the formatted
@@ -213,20 +308,25 @@ def _run_task(index: int, attempt: int, task: Any) -> tuple:
     ``("err", index, (error_repr, traceback_text, is_timeout), delta)``
     where ``delta`` is the instrumentation snapshot to merge back.
     """
+    global _SLOT
+    _SLOT = slot
     before = instrument.snapshot()
     try:
         with Timer.timed("tasks"):
-            result = _call_fn(_WORKER_FN, task, attempt)
+            outcome = ("ok", _call_fn(_WORKER_FN, task, attempt, key))
     except Exception as exc:
-        delta = instrument.snapshot_delta(instrument.snapshot(), before)
-        detail = (
-            repr(exc),
-            traceback_module.format_exc(),
-            isinstance(exc, builtins.TimeoutError),
+        outcome = (
+            "err",
+            (
+                repr(exc),
+                traceback_module.format_exc(),
+                isinstance(exc, builtins.TimeoutError),
+            ),
         )
-        return ("err", index, detail, delta)
+    finally:
+        _SLOT = None
     delta = instrument.snapshot_delta(instrument.snapshot(), before)
-    return ("ok", index, result, delta)
+    return (outcome[0], index, outcome[1], delta)
 
 
 class ParallelExecutor(Executor):
@@ -235,7 +335,8 @@ class ParallelExecutor(Executor):
     Dispatch is submit-based (never a single ``pool.map``), so one dead
     worker forfeits only the tasks in flight; everything already
     completed is salvaged and the pool is rebuilt (see module docstring
-    for the full failure semantics).
+    for the full failure semantics).  The pool outlives one ``map``:
+    close the executor (or use it as a context manager) to release it.
     """
 
     def __init__(
@@ -245,63 +346,92 @@ class ParallelExecutor(Executor):
             raise ReproError(
                 f"ParallelExecutor needs at least 2 workers, got {workers}"
             )
+        super().__init__(resilience)
         self.workers = int(workers)
-        self.resilience = resilience
+        self._pool: ProcessPoolExecutor | None = None
+        self._pool_key: tuple | None = None  # (fn, chaos) the pool serves
+        self._size = 0
+        self._beats: Any = None
 
     # -- pool lifecycle -----------------------------------------------------
 
-    @staticmethod
-    def _new_pool(fn: Callable[[Any], Any], max_workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=max_workers, initializer=_init_worker, initargs=(fn,)
+    def _spawn(self) -> ProcessPoolExecutor:
+        self._pool = ProcessPoolExecutor(
+            max_workers=self._size,
+            initializer=_init_worker,
+            initargs=(chaos_wrap(*self._pool_key), self._beats),
         )
+        return self._pool
 
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down without waiting on hung or dead workers."""
+    def _ensure_pool(self, key: tuple, size: int) -> ProcessPoolExecutor:
+        """The live pool for ``key``, forking a fresh one if it serves another."""
+        if self._pool is not None and self._pool_key == key:
+            return self._pool
+        self.close()
+        self._pool_key, self._size = key, size
+        self._beats = multiprocessing.RawArray("d", size)
+        return self._spawn()
+
+    def _kill_pool(self) -> None:
+        """Tear the pool down without waiting on hung or dead workers."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        processes = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
+        for process in processes:
+            if process.is_alive():
                 process.terminate()
-            except Exception:  # already dead / being reaped
-                pass
+        for process in processes:
+            process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - wedged beyond SIGTERM
+                process.kill()
+                process.join(timeout=5.0)
+
+    def close(self) -> None:
+        # graceful: between maps every worker is idle, and unlike
+        # terminate() a cooperative shutdown cannot wedge the pool's
+        # manager thread by killing a worker mid-queue-read
+        pool, self._pool = self._pool, None
+        self._pool_key = None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def __del__(self) -> None:
+        # an executor dropped unclosed (``ParallelExecutor(2).map(...)``)
+        # must not leave idle workers behind until interpreter exit
+        pool = getattr(self, "_pool", None)
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
 
     # -- the dispatch loop --------------------------------------------------
 
-    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> list[Any]:
+    def map(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Iterable[Any],
+        *,
+        keys: Sequence[str] | None = None,
+    ) -> list[Any]:
         config = self._config()
-        fn = chaos_wrap(fn, config.chaos)
         tasks = list(tasks)
-        if not tasks:
-            return []
         n = len(tasks)
-        results: list[Any] = [None] * n
+        fingerprints, hits = self._lookup(config, tasks, keys)
+        results: list[Any] = [hits.get(i) for i in range(n)]
+        remaining = [i for i in range(n) if i not in hits]
+        if not remaining:
+            return results
         attempts = [0] * n  # failed attempts so far, per task
+        timeout = config.task_timeout
 
-        fingerprints: list[str] | None = None
-        remaining = list(range(n))
-        if config.journal is not None:
-            fingerprints = [
-                task_fingerprint(config.scope, i, task) for i, task in enumerate(tasks)
-            ]
-            remaining = []
-            for i in range(n):
-                hit, value = config.journal.lookup(fingerprints[i])
-                if hit:
-                    count("journal_hits")
-                    results[i] = value
-                else:
-                    remaining.append(i)
-            if not remaining:
-                return results
-
-        max_workers = min(self.workers, len(remaining))
+        pool = self._ensure_pool(
+            (fn, config.chaos), min(self.workers, len(remaining))
+        )
+        beats = self._beats
         pending: deque[int] = deque(remaining)
         retry_heap: list[tuple[float, int]] = []  # (ready time, task index)
-        inflight: dict[Future, int] = {}
-        deadlines: dict[int, float] = {}
-        pool = self._new_pool(fn, max_workers)
+        inflight: dict[Future, tuple[int, int]] = {}  # future -> (index, slot)
+        free_slots = list(range(self._size))
 
         def finish(index: int, result: Any) -> None:
             results[index] = result
@@ -311,60 +441,59 @@ class ParallelExecutor(Executor):
         def fail_or_retry(index: int, failure: TaskFailure) -> None:
             """Schedule a retry if budget remains, else apply the policy."""
             if attempts[index] <= config.max_retries:
-                count("task_retries")
+                self._count("task_retries")
                 delay = backoff_delay(config, index, attempts[index])
                 heapq.heappush(retry_heap, (time.monotonic() + delay, index))
                 return
-            if config.on_failure == "skip":
-                count("tasks_skipped")
-                record_failure(failure)
-                results[index] = failure
-                return
-            raise TaskError(
-                f"task {index} failed after {failure.attempts} attempt(s): "
-                f"{failure.error}",
-                index=index,
-                attempts=failure.attempts,
-                worker_traceback=failure.traceback,
+            results[index] = self._exhausted(config, failure)
+
+        def charge(index: int, error: str, *, is_timeout: bool = False) -> None:
+            attempts[index] += 1
+            fail_or_retry(
+                index,
+                TaskFailure(
+                    index=index,
+                    attempts=attempts[index],
+                    error=error,
+                    timeout=is_timeout,
+                ),
             )
 
-        def crash_failure(index: int) -> TaskFailure:
-            return TaskFailure(
-                index=index,
-                attempts=attempts[index],
-                error="worker process died (BrokenProcessPool)",
-            )
-
-        def rebuild_after_crash() -> None:
-            """Salvage a broken pool: charge the in-flight tasks, restart."""
-            nonlocal pool
-            count("pool_restarts")
-            for index in sorted(inflight.values()):
-                deadlines.pop(index, None)
-                attempts[index] += 1
-                fail_or_retry(index, crash_failure(index))
+        def rebuild() -> ProcessPoolExecutor:
+            """Kill the pool (every in-flight task is lost) and fork anew."""
+            self._count("pool_restarts")
             inflight.clear()
-            self._kill_pool(pool)
-            pool = self._new_pool(fn, max_workers)
+            free_slots[:] = range(self._size)
+            self._kill_pool()
+            return self._spawn()
+
+        def rebuild_after_crash() -> ProcessPoolExecutor:
+            """Salvage a broken pool: charge the in-flight tasks, restart."""
+            for index in sorted(index for index, _ in inflight.values()):
+                charge(index, "worker process died (BrokenProcessPool)")
+            return rebuild()
 
         try:
             while pending or inflight or retry_heap:
                 now = time.monotonic()
                 while retry_heap and retry_heap[0][0] <= now:
                     pending.append(heapq.heappop(retry_heap)[1])
-                while pending and len(inflight) < max_workers:
+                while pending and free_slots:
                     index = pending.popleft()
+                    slot = free_slots.pop()
+                    key = None if keys is None else keys[index]
                     try:
                         future = pool.submit(
-                            _run_task, index, attempts[index], tasks[index]
+                            _run_task, index, attempts[index], tasks[index], key, slot
                         )
                     except BrokenProcessPool:
                         pending.appendleft(index)
-                        rebuild_after_crash()
+                        free_slots.append(slot)
+                        pool = rebuild_after_crash()
                         continue
-                    inflight[future] = index
-                    if config.task_timeout is not None:
-                        deadlines[index] = time.monotonic() + config.task_timeout
+                    beats[slot] = time.monotonic()
+                    inflight[future] = (index, slot)
+                    self.stats["dispatched"] += 1
                 if not inflight:
                     if retry_heap:  # only backoff waits remain
                         time.sleep(
@@ -373,8 +502,9 @@ class ParallelExecutor(Executor):
                     continue
 
                 wait_timeout = None
-                if deadlines:
-                    wait_timeout = max(0.0, min(deadlines.values()) - time.monotonic())
+                if timeout is not None:
+                    first = min(beats[slot] for _, slot in inflight.values())
+                    wait_timeout = max(0.0, first + timeout - time.monotonic())
                 if retry_heap:
                     until_retry = max(0.0, retry_heap[0][0] - time.monotonic())
                     wait_timeout = (
@@ -388,14 +518,13 @@ class ParallelExecutor(Executor):
 
                 broken = False
                 for future in completed:
-                    index = inflight.pop(future)
-                    deadlines.pop(index, None)
+                    index, slot = inflight.pop(future)
+                    free_slots.append(slot)
                     try:
                         status, _, value, delta = future.result()
                     except BrokenProcessPool:
                         broken = True
-                        attempts[index] += 1
-                        fail_or_retry(index, crash_failure(index))
+                        charge(index, "worker process died (BrokenProcessPool)")
                         continue
                     instrument.merge_snapshot(delta)
                     if status == "ok":
@@ -403,7 +532,7 @@ class ParallelExecutor(Executor):
                         continue
                     error_repr, traceback_text, is_timeout = value
                     if is_timeout:
-                        count("task_timeouts")
+                        self._count("task_timeouts")
                     attempts[index] += 1
                     fail_or_retry(
                         index,
@@ -416,69 +545,38 @@ class ParallelExecutor(Executor):
                         ),
                     )
                 if broken:
-                    rebuild_after_crash()
+                    pool = rebuild_after_crash()
                     continue
 
-                # parent-side deadline enforcement: a worker stuck past its
+                # parent-side deadline enforcement: a worker silent past its
                 # task's deadline cannot be reclaimed, so the pool goes too
+                if timeout is None:
+                    continue
                 now = time.monotonic()
                 expired = sorted(
-                    index for index, deadline in deadlines.items() if deadline <= now
+                    index
+                    for index, slot in inflight.values()
+                    if beats[slot] + timeout <= now
                 )
                 if expired:
-                    count("pool_restarts")
-                    survivors = sorted(
-                        index for index in inflight.values() if index not in expired
-                    )
-                    for index in expired:
-                        count("task_timeouts")
-                        attempts[index] += 1
-                        fail_or_retry(
-                            index,
-                            TaskFailure(
-                                index=index,
-                                attempts=attempts[index],
-                                error=(
-                                    "task exceeded task_timeout="
-                                    f"{config.task_timeout}s"
-                                ),
-                                timeout=True,
-                            ),
-                        )
                     # innocents killed alongside the hung worker re-run
                     # without being charged an attempt
+                    survivors = sorted(
+                        index for index, _ in inflight.values() if index not in expired
+                    )
+                    for index in expired:
+                        self._count("task_timeouts")
+                        charge(
+                            index,
+                            f"task exceeded task_timeout={timeout}s",
+                            is_timeout=True,
+                        )
                     pending.extendleft(reversed(survivors))
-                    inflight.clear()
-                    deadlines.clear()
-                    self._kill_pool(pool)
-                    pool = self._new_pool(fn, max_workers)
+                    pool = rebuild()
         except BaseException:
-            self._kill_pool(pool)
+            self._kill_pool()
             raise
-        pool.shutdown(wait=True)
         return results
-
-
-class ChaosExecutor(Executor):
-    """Fault-injecting wrapper: delegate to ``inner`` with chaos applied.
-
-    Wraps the mapped function in the seeded
-    :class:`~repro.runtime.resilience.ChaosConfig` injection before
-    handing it to the wrapped executor, whose retry/salvage machinery
-    must then recover.  Purely a test/validation instrument — production
-    runs get their chaos for free.
-    """
-
-    def __init__(self, inner: Executor, chaos) -> None:
-        self.inner = inner
-        self.chaos = chaos
-
-    @property
-    def workers(self) -> int:  # type: ignore[override]
-        return self.inner.workers
-
-    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> list[Any]:
-        return self.inner.map(chaos_wrap(fn, self.chaos), tasks)
 
 
 def get_executor(
@@ -504,5 +602,6 @@ def map_tasks(
     workers: int | None = 1,
     resilience: ResilienceConfig | None = None,
 ) -> list[Any]:
-    """One-shot convenience: ``get_executor(workers, resilience).map(fn, tasks)``."""
-    return get_executor(workers, resilience).map(fn, tasks)
+    """One-shot ``get_executor(workers, resilience).map(fn, tasks)``, pool closed."""
+    with get_executor(workers, resilience) as executor:
+        return executor.map(fn, tasks)

@@ -70,11 +70,12 @@ class ChaosError(ReproError):
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Seeded fault-injection plan applied on top of any executor.
+    """Seeded fault-injection plan applied by every executor's ``map``.
 
     Each task draws one deterministic fault decision from
-    ``sha256(seed, task fingerprint)``: with probability ``crash_rate``
-    it raises :class:`ChaosError`, with ``delay_rate`` it sleeps
+    ``sha256(seed, task fingerprint)`` (of the task's key, when the map
+    names keys): with probability ``crash_rate`` it raises
+    :class:`ChaosError`, with ``delay_rate`` it sleeps
     ``delay_seconds`` before running, with ``timeout_rate`` it raises an
     injected :class:`~repro.errors.TimeoutError`, and with ``kill_rate``
     it hard-kills its worker process via ``os._exit`` (exercising the
@@ -105,11 +106,12 @@ class ResilienceConfig:
 
     ``max_retries`` is *extra* attempts per task beyond the first;
     ``task_timeout`` (seconds) is enforced by the parent for parallel
-    executors (a hung worker is killed and the task charged one attempt —
-    serial execution cannot preempt a running task, so there it only
-    classifies injected timeouts).  ``on_failure="skip"`` replaces a
-    task's result with its :class:`TaskFailure` instead of raising
-    :class:`~repro.errors.TaskError`.
+    executors, counted from the later of dispatch and the task's last
+    :func:`~repro.runtime.executor.heartbeat` (a silent worker is killed
+    and the task charged one attempt — serial execution cannot preempt a
+    running task, so there it only classifies injected timeouts).
+    ``on_failure="skip"`` replaces a task's result with its
+    :class:`TaskFailure` instead of raising :class:`~repro.errors.TaskError`.
     """
 
     max_retries: int = 0
@@ -267,21 +269,19 @@ def fault_decision(chaos: ChaosConfig, task: Any, attempt: int = 0) -> str | Non
 class _ChaosFn:
     """Picklable fault-injecting wrapper around a task function.
 
-    The executors detect ``accepts_attempt`` and call
-    ``fn(task, attempt)`` instead of ``fn(task)``, which is what lets the
+    The executors call ``fn(task, attempt, key)``, which is what lets the
     injection be *transient*: the fault decision is a pure function of
-    (seed, task content) but only fires while ``attempt`` is below
+    (seed, identity) — the task's ``key`` when the map names one, else
+    the task content — but only fires while ``attempt`` is below
     ``faulty_attempts``, so retries always converge on the real result.
     """
-
-    accepts_attempt = True
 
     def __init__(self, fn: Callable[[Any], Any], chaos: ChaosConfig) -> None:
         self.fn = fn
         self.chaos = chaos
 
-    def __call__(self, task: Any, attempt: int = 0) -> Any:
-        fault = fault_decision(self.chaos, task, attempt)
+    def __call__(self, task: Any, attempt: int = 0, key: Any = None) -> Any:
+        fault = fault_decision(self.chaos, task if key is None else key, attempt)
         if fault == "crash":
             raise ChaosError(f"injected crash (attempt {attempt})")
         if fault == "delay":
@@ -303,12 +303,7 @@ _PARENT_PID = os.getpid()
 
 
 def chaos_wrap(fn: Callable[[Any], Any], chaos: ChaosConfig | None) -> Callable:
-    """Wrap ``fn`` for fault injection (identity when ``chaos`` is None).
-
-    Already-wrapped functions pass through unchanged, so an explicit
-    :class:`~repro.runtime.executor.ChaosExecutor` composed with an
-    active chaos policy never injects twice.
-    """
-    if chaos is None or isinstance(fn, _ChaosFn):
+    """Wrap ``fn`` for fault injection (identity when ``chaos`` is None)."""
+    if chaos is None:
         return fn
     return _ChaosFn(fn, chaos)

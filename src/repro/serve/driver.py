@@ -75,6 +75,8 @@ class ChurnConfig:
     def __post_init__(self) -> None:
         if self.requests < 1:
             raise ReproError(f"requests must be positive, got {self.requests}")
+        if self.sfc_size < 1:
+            raise ReproError(f"sfc_size must be positive, got {self.sfc_size}")
         if self.concurrency < 1:
             raise ReproError(
                 f"concurrency must be positive, got {self.concurrency}"

@@ -1,21 +1,25 @@
-"""Supervised, crash-tolerant sharded execution of the simulated day.
+"""Crash-tolerant sharded execution of the simulated day.
 
 The day loop's per-flow reductions — attraction vectors, ``Λ``, drop
 accounting, replication serving — are linear in the flows, so they split
 into per-block partial sums.  This package splits a day's flow
 population into deterministic shards (:mod:`~repro.shard.plan`), runs
-each shard's aggregation in supervised pool workers
-(:mod:`~repro.shard.worker`, :mod:`~repro.shard.supervisor` — with
-heartbeats, a stall watchdog, memory budgets with a degradation ladder,
-deterministic chaos injection and a resumable shard journal), folds the
-partials by the canonical ascending-block left fold
-(:mod:`~repro.shard.aggregate`), and feeds the folded
-:class:`~repro.core.costs.AggregatedFlows` to the unchanged solvers
+each shard's aggregation (:mod:`~repro.shard.worker`) on the one
+supervised worker pool of :mod:`repro.runtime.executor` — retries,
+heartbeat-extended timeouts, broken-pool salvage, chaos and the
+resumable shard journal all come from there, under the caller's
+:class:`~repro.runtime.resilience.ResilienceConfig` — and keeps only
+the shard-specific parts: the distance-matrix shared-memory exports,
+the memory-budget degradation ladder and the diagnosed
+:class:`~repro.errors.ShardError` (:mod:`~repro.shard.supervisor`).  The
+partials fold by the canonical ascending-block left fold
+(:mod:`~repro.shard.aggregate`), and the folded
+:class:`~repro.core.costs.AggregatedFlows` feeds the unchanged solvers
 (:mod:`~repro.shard.engine`).
 
 Determinism contract (enforced by the ``verify.shard`` campaign):
 results are bit-identical across shard counts, worker crashes, kills,
-stalls, retries and journal resumes; single-block populations are
+timeouts, retries and journal resumes; single-block populations are
 byte-identical to the unsharded :func:`~repro.sim.engine.simulate_day`.
 """
 
@@ -29,7 +33,6 @@ from repro.shard.aggregate import (
 )
 from repro.shard.engine import initial_placement_sharded, simulate_day_sharded
 from repro.shard.plan import Block, ShardConfig, ShardPlan
-from repro.shard.supervisor import ShardSupervisor
 from repro.shard.worker import BlockPayload, ShardTask, run_shard_task
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "FoldedHour",
     "ShardConfig",
     "ShardPlan",
-    "ShardSupervisor",
     "ShardTask",
     "compute_block_aggregate",
     "compute_block_serving",

@@ -4,13 +4,13 @@
 :func:`repro.sim.engine.simulate_day` — same :class:`HourRecord` /
 :class:`DayResult` surface, same policies, same fault-aware control flow
 — with every per-flow reduction (attractions, ``Λ``, drop accounting,
-replication serving) computed per block in supervised workers and folded
-by the canonical ascending-block left fold
-(:mod:`repro.shard.aggregate`).  The fold feeds an
+replication serving) computed per block on the shared worker pool of
+:mod:`repro.runtime.executor` and folded by the canonical ascending-block
+left fold (:mod:`repro.shard.aggregate`).  The fold feeds an
 :class:`~repro.core.costs.AggregatedFlows`, so every solver runs
 unchanged; on single-block populations the day is byte-identical to the
 unsharded loop, and at any scale it is bit-identical across shard
-counts, worker kills, stalls, retries and journal resumes — the
+counts, worker kills, timeouts, retries and journal resumes — the
 ``verify.shard`` campaign family enforces both claims.
 
 The policy is initialized once (first simulated hour) with the first
@@ -36,6 +36,7 @@ from repro.core.costs import AggregatedFlows
 from repro.errors import FaultError, InfeasibleError, ShardError
 from repro.runtime.instrument import count
 from repro.runtime.journal import Journal
+from repro.runtime.resilience import ResilienceConfig
 from repro.runtime.shm import content_fingerprint
 from repro.sim.engine import DayResult, HourRecord, deliver_interrupts
 from repro.sim.policies import MigrationPolicy
@@ -67,6 +68,7 @@ class _DayRunner:
         faults,
         diurnal: DiurnalModel | None,
         journal: Journal | None,
+        resilience: ResilienceConfig | None = None,
     ) -> None:
         if not getattr(policy, "supports_sharding", False):
             raise ShardError(
@@ -110,7 +112,10 @@ class _DayRunner:
             (topology, flows, process_spec, fault_spec, config.block_size)
         )
         self.supervisor = ShardSupervisor(
-            config, scope=f"shard:{day_token[:16]}", journal=journal
+            config,
+            scope=f"shard:{day_token[:16]}",
+            journal=journal,
+            resilience=resilience,
         )
 
     def close(self) -> None:
@@ -164,7 +169,6 @@ class _DayRunner:
                     surviving_hosts=surviving_hosts,
                     park_host=park_host,
                     mem_budget=self.config.mem_budget,
-                    chaos=self.config.chaos,
                     **dist_fields,
                 )
             )
@@ -242,6 +246,7 @@ def simulate_day_sharded(
     incremental: bool | None = None,
     journal: Journal | None = None,
     diurnal: DiurnalModel | None = None,
+    resilience: ResilienceConfig | None = None,
     report: dict | None = None,
 ) -> DayResult:
     """Sharded counterpart of :func:`repro.sim.engine.simulate_day`.
@@ -250,9 +255,13 @@ def simulate_day_sharded(
     ``rate_process``, exactly like the unsharded loop) or a
     :class:`StreamingWorkload` (workers regenerate their chunks; the
     parent never materializes the population — pass ``diurnal`` or a
-    ``rate_process`` whose diurnal model applies).  ``report``, when
-    given, receives the supervisor's counters (dispatches, retries,
-    stalls, pool restarts, journal hits, degraded tasks).
+    ``rate_process`` whose diurnal model applies).  ``resilience`` is
+    the shard tasks' retry/timeout/chaos policy (``None`` = the active
+    :func:`~repro.runtime.resilience.get_resilience`); the day's own
+    ``journal``, a ``shard:<day token>`` scope and ``on_failure="fail"``
+    override it.  ``report``, when given, receives the supervisor's
+    counters (dispatches, retries, stalls, pool restarts, journal hits,
+    degraded tasks).
     """
     from repro.sim.engine import incremental_enabled
 
@@ -267,6 +276,7 @@ def simulate_day_sharded(
         faults=faults,
         diurnal=diurnal,
         journal=journal,
+        resilience=resilience,
     )
     if hours is None:
         if rate_process is not None:

@@ -15,7 +15,7 @@ population and the block size, never of the shard count.
   seed recipe, which *defines* those endpoints).  Shard assignment is
   pure scheduling — which worker computes a block, never what the block
   computes or how partials fold — so any shard count, any re-dispatch
-  after a crash, and any watchdog kill produce bit-identical day books.
+  after a crash, and any timeout kill produce bit-identical day books.
 
 For a :class:`~repro.workload.stream.StreamingWorkload` the chunk size
 *is* the block size; a mismatch is a configuration error
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ShardError
-from repro.runtime.resilience import ChaosConfig
 from repro.workload.flows import FlowSet
 from repro.workload.stream import StreamingWorkload
 
@@ -50,20 +49,15 @@ class ShardConfig:
     like changing a seed changes a workload.  ``workers`` caps the pool
     (``None`` = ``min(num_shards, cpu_count)``; an effective 1 runs
     shards in-process).  ``mem_budget`` (bytes) bounds each block's
-    gather working set and arms the degradation ladder;
-    ``stall_timeout`` (seconds without a shard heartbeat) arms the
-    watchdog.  ``chaos`` injects deterministic faults for soak tests.
+    gather working set and arms the degradation ladder.  Retries,
+    timeouts and chaos are the execution layer's
+    :class:`~repro.runtime.resilience.ResilienceConfig`, not shard knobs.
     """
 
     num_shards: int = 1
     block_size: int = 4096
     workers: int | None = None
     mem_budget: int | None = None
-    stall_timeout: float | None = None
-    max_retries: int = 3
-    backoff_base: float = 0.01
-    backoff_cap: float = 0.5
-    chaos: ChaosConfig | None = None
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -74,12 +68,6 @@ class ShardConfig:
             raise ShardError(f"workers must be positive, got {self.workers}")
         if self.mem_budget is not None and self.mem_budget <= 0:
             raise ShardError(f"mem_budget must be positive, got {self.mem_budget}")
-        if self.stall_timeout is not None and self.stall_timeout <= 0:
-            raise ShardError(
-                f"stall_timeout must be positive, got {self.stall_timeout}"
-            )
-        if self.max_retries < 0:
-            raise ShardError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
 @dataclass(frozen=True)

@@ -1,61 +1,51 @@
-"""The shard supervisor: dispatch, heartbeats, watchdog, salvage, journal.
+"""The shard supervisor: one day's shard tasks on the shared worker pool.
 
 One :class:`ShardSupervisor` lives for one sharded day.  It owns a
-persistent worker pool (forked once, reused every hour), a shared-memory
-heartbeat array (one ``float64`` slot per shard), the per-state distance
-matrix exports, and the shard journal.  :meth:`run` executes one batch of
+:mod:`repro.runtime.executor` executor (whose pool is forked on the
+first hour and reused every later hour), the per-state distance matrix
+exports, and the day's execution policy.  :meth:`run` maps one batch of
 :class:`~repro.shard.worker.ShardTask` and returns ``{block_index:
 result}`` — the caller folds those in ascending block order, so nothing
-the supervisor does (scheduling, retries, kills, resume) can change a
-bit of the day's books.
+the pool does (scheduling, retries, kills, resume) can change a bit of
+the day's books.
 
-Failure handling, in escalation order:
+Retries, backoff, broken-pool salvage, heartbeat-extended timeouts,
+chaos and the journal are the executor's (see
+:mod:`repro.runtime.executor`), under the caller's
+:class:`~repro.runtime.resilience.ResilienceConfig` with three
+overrides: the day's own ``journal``, a ``shard:<day token>`` scope,
+and ``on_failure="fail"`` (a missing block cannot be folded).  Tasks
+are mapped with ``keys=`` set to their stable content keys, so both
+the journal fingerprint and the chaos draw follow ``task.key``.
 
-* **Organic/injected crash** — charged one attempt against the task's
-  stable key and re-dispatched after the deterministic
-  :func:`~repro.runtime.resilience.backoff_delay`; the retry budget is
-  ``config.max_retries`` extra attempts.
-* **Dead worker** (``BrokenProcessPool``) — the pool is rebuilt; every
-  in-flight task is charged one attempt (the killer is among them, and
-  charging the innocents is what clears a transient chaos fault) and
-  re-dispatched.
-* **Wedged worker** — the watchdog compares each in-flight task's
-  dispatch time and its shard's last heartbeat against
-  ``config.stall_timeout``; a stalled task gets its pool killed, is
-  charged one attempt with backoff, and every innocent in-flight task is
-  re-dispatched free of charge.
-* **Memory breach** — a task that dies with ``MemoryError`` after the
-  worker-side ladder (full gather → column strips) is re-dispatched
-  block-by-block (rung 2: smaller payloads, one block's working set at a
-  time); a single-block memory failure is terminal and raises a
-  diagnosed :class:`~repro.errors.ShardError` (rung 3).
+What stays here is shard-specific:
 
-Journal: each completed task's per-block results are recorded under
-``task_fingerprint(scope, 0, task.key)``.  Keys are pure content (hour,
-kind, shard, stable hash) — never volatile runtime names — so a resumed
-run salvages completed shards *mid-hour*, byte-identically: the folded
-values are the recorded values.
+* **Memory ladder** — a multi-block task that hits ``MemoryError``
+  (after the worker-side rung 1, column strips) comes back as a
+  breach marker and is mapped again block by block (rung 2: one
+  block's working set at a time; counted in ``degraded_tasks``); a
+  single-block memory failure spends its retry budget like any other
+  error and ends the day in a diagnosed :class:`~repro.errors.ShardError`
+  (rung 3).
+* **Diagnosis** — a task whose budget is spent surfaces as a
+  :class:`~repro.errors.ShardError` naming the task, shard, hour,
+  attempts and error.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.errors import ShardError
+from repro.errors import ShardError, TaskError
+from repro.runtime.executor import get_executor
 from repro.runtime.instrument import count
-from repro.runtime.journal import Journal, task_fingerprint
-from repro.runtime.resilience import ResilienceConfig, backoff_delay
-from repro.runtime.shm import ShmArrayRef, _export_array
+from repro.runtime.journal import Journal
+from repro.runtime.resilience import ResilienceConfig, get_resilience
+from repro.runtime.shm import _export_array
 from repro.shard.plan import ShardConfig
 from repro.shard.worker import ShardTask, run_shard_task
 
@@ -67,6 +57,20 @@ __all__ = ["ShardSupervisor"]
 _SUPERVISOR_SEQ = itertools.count()
 
 
+class _MemoryBreach:
+    """A multi-block task's ``MemoryError``, returned for a per-block split."""
+
+
+def _run_task(task: ShardTask):
+    """Pool entry point: one task's block results, or a memory breach."""
+    try:
+        return run_shard_task(task)
+    except MemoryError:
+        if len(task.blocks) > 1:
+            return _MemoryBreach()
+        raise
+
+
 class ShardSupervisor:
     """Supervised execution of shard tasks for one day (see module docstring)."""
 
@@ -76,35 +80,35 @@ class ShardSupervisor:
         *,
         scope: str = "shard",
         journal: Journal | None = None,
+        resilience: ResilienceConfig | None = None,
     ) -> None:
-        self.config = config
+        base = resilience if resilience is not None else get_resilience()
+        self.resilience = replace(
+            base, scope=scope, journal=journal, on_failure="fail"
+        )
+        workers = config.workers or min(config.num_shards, os.cpu_count() or 1)
+        self.executor = get_executor(max(1, workers), self.resilience)
         self.scope = scope
-        self.journal = journal
-        self.report: dict = {
-            "workers": self.workers,
-            "dispatched": 0,
-            "journal_hits": 0,
-            "retries": 0,
-            "stalls": 0,
-            "pool_restarts": 0,
-            "degraded_tasks": 0,
-        }
+        self._degraded = 0
         self._uid = next(_SUPERVISOR_SEQ)
-        self._attempts: dict[str, int] = {}
-        self._pool: ProcessPoolExecutor | None = None
-        self._heartbeat_segment: shared_memory.SharedMemory | None = None
-        self._heartbeat_ref: ShmArrayRef | None = None
-        self._heartbeat_view: np.ndarray | None = None
         self._dist_exports: dict[str, tuple] = {}
         self._closed = False
 
-    # -- resources -----------------------------------------------------------
-
     @property
-    def workers(self) -> int:
-        if self.config.workers is not None:
-            return max(1, self.config.workers)
-        return max(1, min(self.config.num_shards, os.cpu_count() or 1))
+    def report(self) -> dict:
+        """The day's supervision counters (``simulate_day_sharded(report=)``)."""
+        stats = self.executor.stats
+        return {
+            "workers": self.executor.workers,
+            "dispatched": stats["dispatched"],
+            "journal_hits": stats["journal_hits"],
+            "retries": stats["task_retries"],
+            "stalls": stats["task_timeouts"],
+            "pool_restarts": stats["pool_restarts"],
+            "degraded_tasks": self._degraded,
+        }
+
+    # -- resources -----------------------------------------------------------
 
     def dist_handle(self, key: str, dist: np.ndarray) -> dict:
         """Wire fields for one distance matrix, export memoized per key.
@@ -115,70 +119,21 @@ class ShardSupervisor:
         attach memos can never alias matrices across runs.
         """
         dist_key = f"{self.scope}#{self._uid}:{key}"
-        if self.workers == 1:
+        if self.executor.workers == 1:
             return {"dist_ref": None, "dist_data": dist, "dist_key": dist_key}
         cached = self._dist_exports.get(dist_key)
         if cached is None:
-            ref, segment = _export_array(dist)
-            cached = (ref, segment)
+            cached = _export_array(dist)
             self._dist_exports[dist_key] = cached
             count("shard_dist_exports")
         return {"dist_ref": cached[0], "dist_data": None, "dist_key": dist_key}
-
-    def _ensure_heartbeat(self) -> ShmArrayRef:
-        if self._heartbeat_ref is None:
-            ref, segment = _export_array(np.zeros(self.config.num_shards))
-            self._heartbeat_segment = segment
-            self._heartbeat_ref = ref
-            self._heartbeat_view = np.ndarray(
-                ref.shape, dtype=np.dtype(ref.dtype), buffer=segment.buf
-            )
-        return self._heartbeat_ref
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def _kill_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        processes = list(getattr(pool, "_processes", {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - wedged beyond SIGTERM
-                process.kill()
-                process.join(timeout=5.0)
-
-    def _shutdown_pool(self) -> None:
-        # Graceful variant for close(): by then run() has drained every
-        # future, so the workers are idle and a cooperative shutdown is
-        # quick — and unlike terminate(), it cannot wedge the executor's
-        # manager thread by killing a worker mid-queue-read.
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
 
     def close(self) -> None:
         """Release the pool and every shared segment (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        self._shutdown_pool()
-        if self._heartbeat_segment is not None:
-            try:
-                self._heartbeat_segment.close()
-                self._heartbeat_segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-            self._heartbeat_segment = None
-            self._heartbeat_view = None
-            self._heartbeat_ref = None
+        self.executor.close()
         for _, segment in self._dist_exports.values():
             try:
                 segment.close()
@@ -193,75 +148,6 @@ class ShardSupervisor:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- journal -------------------------------------------------------------
-
-    def _fingerprint(self, task: ShardTask) -> str:
-        return task_fingerprint(self.scope, 0, task.key)
-
-    def _journal_lookup(self, task: ShardTask):
-        if self.journal is None:
-            return False, None
-        hit, value = self.journal.lookup(self._fingerprint(task))
-        if hit:
-            self.report["journal_hits"] += 1
-        return hit, value
-
-    def _journal_record(self, task: ShardTask, payload) -> None:
-        if self.journal is not None:
-            self.journal.record(self._fingerprint(task), payload)
-
-    # -- failure bookkeeping --------------------------------------------------
-
-    def _charge(self, task: ShardTask, detail: dict | None) -> int:
-        """Charge one attempt; raise diagnosed ShardError past the budget."""
-        attempts = self._attempts.get(task.key, 0) + 1
-        self._attempts[task.key] = attempts
-        if attempts > self.config.max_retries:
-            diagnosis = {
-                "task": task.key,
-                "shard": task.shard,
-                "hour": task.hour,
-                "attempts": attempts,
-                "max_retries": self.config.max_retries,
-            }
-            if detail:
-                diagnosis.update(
-                    {"error": detail.get("error"), **(detail.get("diagnosis") or {})}
-                )
-            raise ShardError(
-                f"shard task {task.key} failed {attempts} times "
-                f"(budget: 1 + {self.config.max_retries} retries): "
-                f"{(detail or {}).get('error', 'stalled worker')}; raise "
-                "--shard-mem-budget / the retry budget, or run unsharded",
-                diagnosis=diagnosis,
-            )
-        return attempts
-
-    def _split_blocks(self, task: ShardTask) -> list[ShardTask]:
-        """Rung 2: re-dispatch a memory-breached multi-block task per block."""
-        self.report["degraded_tasks"] += 1
-        count("shard_block_splits")
-        out = []
-        for position, block in enumerate(task.blocks):
-            out.append(
-                replace(
-                    task,
-                    key=f"{task.key}/b{block.index}",
-                    blocks=(block,),
-                    payloads=None
-                    if task.payloads is None
-                    else (task.payloads[position],),
-                )
-            )
-        return out
-
-    def _backoff(self) -> ResilienceConfig:
-        return ResilienceConfig(
-            backoff_base=self.config.backoff_base,
-            backoff_cap=self.config.backoff_cap,
-            scope=self.scope,
-        )
-
     # -- execution -----------------------------------------------------------
 
     def run(self, tasks: list[ShardTask]) -> dict[int, object]:
@@ -269,196 +155,51 @@ class ShardSupervisor:
         if self._closed:
             raise ShardError("supervisor already closed")
         results: dict[int, object] = {}
-        todo: list[ShardTask] = []
-        for task in tasks:
-            hit, payload = self._journal_lookup(task)
-            if hit:
-                for block_index, value in payload:
-                    results[block_index] = value
-            else:
-                todo.append(task)
-        if not todo:
-            return results
-        if self.workers == 1:
-            self._run_serial(todo, results)
-        else:
-            self._run_parallel(todo, results)
+        while tasks:
+            try:
+                outputs = self.executor.map(
+                    _run_task, tasks, keys=[task.key for task in tasks]
+                )
+            except TaskError as exc:
+                raise self._diagnose(tasks[exc.index], exc) from exc
+            split: list[ShardTask] = []
+            for task, output in zip(tasks, outputs):
+                if isinstance(output, _MemoryBreach):
+                    split.extend(self._split_blocks(task))
+                else:
+                    results.update(output)
+            tasks = split
         return results
 
-    def _run_serial(self, tasks: list[ShardTask], results: dict) -> None:
-        """In-process path (effective worker count 1): same contract, no pool.
+    def _split_blocks(self, task: ShardTask) -> list[ShardTask]:
+        """Rung 2: re-dispatch a memory-breached multi-block task per block."""
+        self._degraded += 1
+        count("shard_block_splits")
+        return [
+            replace(
+                task,
+                key=f"{task.key}/b{block.index}",
+                blocks=(block,),
+                payloads=None
+                if task.payloads is None
+                else (task.payloads[position],),
+            )
+            for position, block in enumerate(task.blocks)
+        ]
 
-        Chaos kills degrade to crashes here (the gate spots the parent
-        pid), and the watchdog is moot — a wedged computation would wedge
-        the parent too.
-        """
-        backoff = self._backoff()
-        queue = deque(tasks)
-        while queue:
-            task = queue.popleft()
-            hit, payload = self._journal_lookup(task)
-            if hit:
-                for block_index, value in payload:
-                    results[block_index] = value
-                continue
-            attempt = self._attempts.get(task.key, 0)
-            self.report["dispatched"] += 1
-            status, payload = run_shard_task(task, attempt)
-            if status == "ok":
-                self._journal_record(task, payload)
-                for block_index, value in payload:
-                    results[block_index] = value
-                continue
-            if payload.get("memory") and len(task.blocks) > 1:
-                self._attempts[task.key] = attempt + 1
-                queue.extendleft(reversed(self._split_blocks(task)))
-                continue
-            attempts = self._charge(task, payload)
-            self.report["retries"] += 1
-            delay = backoff_delay(backoff, task.shard, attempts)
-            if delay:
-                time.sleep(delay)
-            queue.appendleft(task)
-
-    def _run_parallel(self, tasks: list[ShardTask], results: dict) -> None:
-        backoff = self._backoff()
-        heartbeat = self._ensure_heartbeat()
-        pool = self._ensure_pool()
-        pending: deque[ShardTask] = deque(tasks)
-        retry_heap: list[tuple[float, int, ShardTask]] = []
-        sequence = itertools.count()
-        inflight: dict = {}  # future -> (task, dispatch_time)
-        shard_busy: set[int] = set()
-
-        def dispatch_one() -> bool:
-            for position, candidate in enumerate(pending):
-                if candidate.shard in shard_busy:
-                    continue
-                del pending[position]
-                hit, payload = self._journal_lookup(candidate)
-                if hit:
-                    for block_index, value in payload:
-                        results[block_index] = value
-                    return True
-                attempt = self._attempts.get(candidate.key, 0)
-                wired = replace(candidate, heartbeat=heartbeat)
-                try:
-                    future = pool.submit(run_shard_task, wired, attempt)
-                except BrokenProcessPool:
-                    # the pool died between completions; put the task back
-                    # and let the main loop's broken handling rebuild
-                    pending.appendleft(candidate)
-                    raise
-                inflight[future] = (candidate, time.monotonic())
-                shard_busy.add(candidate.shard)
-                self.report["dispatched"] += 1
-                return True
-            return False
-
-        def requeue_inflight(*, charge: set[str]) -> None:
-            """Return every in-flight task to the queue after a pool loss."""
-            for future, (task, _) in list(inflight.items()):
-                if task.key in charge:
-                    attempts = self._charge(task, None)
-                    self.report["retries"] += 1
-                    ready = time.monotonic() + backoff_delay(
-                        backoff, task.shard, attempts
-                    )
-                    heapq.heappush(retry_heap, (ready, next(sequence), task))
-                else:
-                    pending.appendleft(task)
-            inflight.clear()
-            shard_busy.clear()
-
-        while pending or retry_heap or inflight:
-            now = time.monotonic()
-            while retry_heap and retry_heap[0][0] <= now:
-                _, _, task = heapq.heappop(retry_heap)
-                pending.append(task)
-            try:
-                while len(inflight) < self.workers and pending:
-                    if not dispatch_one():
-                        break
-            except BrokenProcessPool:
-                self.report["pool_restarts"] += 1
-                count("shard_pool_restarts")
-                requeue_inflight(charge={t.key for t, _ in inflight.values()})
-                self._kill_pool()
-                pool = self._ensure_pool()
-                continue
-            if not inflight:
-                if retry_heap:
-                    time.sleep(
-                        min(0.05, max(0.0, retry_heap[0][0] - time.monotonic()))
-                    )
-                continue
-
-            done, _ = wait(set(inflight), timeout=0.05, return_when=FIRST_COMPLETED)
-            broken = False
-            for future in done:
-                task, _ = inflight.pop(future)
-                shard_busy.discard(task.shard)
-                try:
-                    status, payload = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    # the dead task is charged (it may be the chaos kill
-                    # whose fault must age out) and retried with backoff
-                    attempts = self._charge(task, None)
-                    self.report["retries"] += 1
-                    ready = time.monotonic() + backoff_delay(
-                        backoff, task.shard, attempts
-                    )
-                    heapq.heappush(retry_heap, (ready, next(sequence), task))
-                    continue
-                except Exception as exc:  # pool plumbing failure
-                    attempts = self._charge(task, {"error": repr(exc)})
-                    self.report["retries"] += 1
-                    ready = time.monotonic() + backoff_delay(
-                        backoff, task.shard, attempts
-                    )
-                    heapq.heappush(retry_heap, (ready, next(sequence), task))
-                    continue
-                if status == "ok":
-                    self._journal_record(task, payload)
-                    for block_index, value in payload:
-                        results[block_index] = value
-                    continue
-                if payload.get("memory") and len(task.blocks) > 1:
-                    self._attempts[task.key] = self._attempts.get(task.key, 0) + 1
-                    pending.extendleft(reversed(self._split_blocks(task)))
-                    continue
-                attempts = self._charge(task, payload)
-                self.report["retries"] += 1
-                ready = time.monotonic() + backoff_delay(backoff, task.shard, attempts)
-                heapq.heappush(retry_heap, (ready, next(sequence), task))
-
-            if broken:
-                # a worker died hard: every other in-flight future is
-                # poisoned too — charge them all (clears transient chaos)
-                # and rebuild the pool
-                self.report["pool_restarts"] += 1
-                count("shard_pool_restarts")
-                requeue_inflight(charge={t.key for t, _ in inflight.values()})
-                self._kill_pool()
-                pool = self._ensure_pool()
-                continue
-
-            if self.config.stall_timeout is not None and inflight:
-                now = time.monotonic()
-                stalled: set[str] = set()
-                view = self._heartbeat_view
-                for task, dispatched in inflight.values():
-                    last = max(dispatched, float(view[task.shard]))
-                    if now - last > self.config.stall_timeout:
-                        stalled.add(task.key)
-                if stalled:
-                    # wedged worker: kill the whole pool (no per-future
-                    # preemption exists), charge the stalled tasks, and
-                    # re-dispatch the innocents free of charge
-                    self.report["stalls"] += len(stalled)
-                    self.report["pool_restarts"] += 1
-                    count("shard_stalls")
-                    self._kill_pool()
-                    requeue_inflight(charge=stalled)
-                    pool = self._ensure_pool()
+    def _diagnose(self, task: ShardTask, exc: TaskError) -> ShardError:
+        """Rung 3 / spent budget: the diagnosed error that ends the day."""
+        max_retries = self.resilience.max_retries
+        return ShardError(
+            f"shard task {task.key} failed {exc.attempts} times "
+            f"(budget: 1 + {max_retries} retries): {exc.error}; raise "
+            "--shard-mem-budget / the retry budget, or run unsharded",
+            diagnosis={
+                "task": task.key,
+                "shard": task.shard,
+                "hour": task.hour,
+                "attempts": exc.attempts,
+                "max_retries": max_retries,
+                "error": exc.error,
+            },
+        )

@@ -7,42 +7,27 @@ streamed ones), which distance matrix to price against (a shared-memory
 ref keyed by ``dist_key``, or inline for in-process runs), and the fault
 context (surviving hosts, park host) for degraded days.
 
-Supervision hooks baked into the task:
-
-* ``key`` — a *stable* identity string built from content (hour, kind,
-  shard, a hash of the stable parts), never from volatile runtime names
-  like shm segments.  The journal fingerprint and the chaos fault draw
-  both key off it, so resumed runs salvage exactly the shards they
-  completed and chaos re-injects exactly the faults it drew before.
-* ``heartbeat`` — a shared float64 slot per shard; the worker stamps
-  ``time.monotonic()`` (system-wide on Linux) at task start and after
-  every block, which is what lets the parent distinguish a *wedged*
-  worker from a merely slow one at block granularity.
-* ``chaos`` — deterministic fault injection (crash / delay / timeout /
-  hard ``os._exit`` kill) evaluated against ``key`` and the dispatch
-  attempt, mirroring :mod:`repro.runtime.resilience` semantics: faults
-  fire only while ``attempt < faulty_attempts``, so the supervisor's
-  re-dispatch always converges on the real result.
+``key`` is the task's *stable* identity, built from content (hour, kind,
+shard, a hash of the stable parts), never from volatile runtime names
+like shm segments.  The supervisor maps tasks with ``keys=`` set to it,
+so the journal fingerprint and the chaos fault draw both key off it:
+resumed runs salvage exactly the shards they completed and chaos
+re-injects exactly the faults it drew before.  :func:`run_shard_task`
+calls :func:`~repro.runtime.executor.heartbeat` after every block, so
+the pool's ``task_timeout`` tells a wedged worker from a merely slow
+one at block granularity.
 """
 
 from __future__ import annotations
 
-import os
-import time
-import traceback
-from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
+from dataclasses import dataclass
+from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.errors import ShardError
-from repro.runtime.resilience import (
-    ChaosConfig,
-    ChaosError,
-    _PARENT_PID,
-    fault_decision,
-)
-from repro.runtime.shm import ShmArrayRef, _attach_array, _owns_resource_tracker
+from repro.runtime.executor import heartbeat
+from repro.runtime.shm import ShmArrayRef, _attach_array
 from repro.shard.aggregate import compute_block_aggregate, compute_block_serving
 from repro.shard.plan import Block
 from repro.workload.diurnal import DiurnalModel
@@ -78,16 +63,11 @@ class ShardTask:
     dist_ref: ShmArrayRef | None = None
     dist_data: np.ndarray | None = None
     dist_key: str = "healthy"
-    heartbeat: ShmArrayRef | None = None
     mem_budget: int | None = None
-    chaos: ChaosConfig | None = None
 
 
 # process-local memo: dist_key -> (array, segment kept alive for the view)
 _DIST_CACHE: dict[str, tuple[np.ndarray, shared_memory.SharedMemory | None]] = {}
-
-# process-local memo: heartbeat segment name -> (writable view, segment)
-_HEARTBEAT_CACHE: dict[str, tuple[np.ndarray, shared_memory.SharedMemory]] = {}
 
 
 def _resolve_dist(task: ShardTask) -> np.ndarray:
@@ -109,50 +89,6 @@ def _resolve_dist(task: ShardTask) -> np.ndarray:
         raise ShardError(f"task {task.key} carries no distance matrix")
     _DIST_CACHE[task.dist_key] = (arr, segment)
     return arr
-
-
-def _attach_writable(ref: ShmArrayRef) -> tuple[np.ndarray, shared_memory.SharedMemory]:
-    """Writable attach (heartbeat slots) — ``shm._attach_array`` is read-only."""
-    segment = shared_memory.SharedMemory(name=ref.name)
-    if _owns_resource_tracker():
-        try:
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
-    arr = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=segment.buf)
-    return arr, segment
-
-
-def _beat(task: ShardTask) -> None:
-    """Stamp this shard's heartbeat slot (no-op without a heartbeat ref)."""
-    if task.heartbeat is None:
-        return
-    cached = _HEARTBEAT_CACHE.get(task.heartbeat.name)
-    if cached is None:
-        cached = _attach_writable(task.heartbeat)
-        _HEARTBEAT_CACHE[task.heartbeat.name] = cached
-    cached[0][task.shard] = time.monotonic()
-
-
-def _chaos_gate(task: ShardTask, attempt: int) -> None:
-    """Apply this task's deterministic fault draw, if any."""
-    if task.chaos is None:
-        return
-    fault = fault_decision(task.chaos, task.key, attempt)
-    if fault == "crash":
-        raise ChaosError(f"injected crash for {task.key} (attempt {attempt})")
-    if fault == "delay":
-        time.sleep(task.chaos.delay_seconds)
-    elif fault == "timeout":
-        from repro.errors import TimeoutError
-
-        raise TimeoutError(f"injected timeout for {task.key} (attempt {attempt})")
-    elif fault == "kill":
-        if os.getpid() != _PARENT_PID:
-            os._exit(17)
-        raise ChaosError(
-            f"injected kill for {task.key}, in-process fallback (attempt {attempt})"
-        )
 
 
 def _block_arrays(
@@ -178,67 +114,44 @@ def _block_arrays(
     return chunk.sources, chunk.destinations, rates
 
 
-def run_shard_task(task: ShardTask, attempt: int = 0) -> tuple:
+def run_shard_task(task: ShardTask) -> list[tuple[int, object]]:
     """Pool entry point: compute every block of one shard task.
 
-    Returns ``("ok", [(block_index, result), ...])`` with results in
-    ascending block order, or ``("err", detail)`` where ``detail``
-    carries the worker-formatted traceback plus classification flags the
-    supervisor's degradation ladder keys on (``memory`` → rung 2 block
-    split; ``shard_error`` → diagnosed terminal failure).
+    Returns ``[(block_index, result), ...]`` in ascending block order;
+    failures raise (the executor retries them, and a ``MemoryError`` on
+    a multi-block task sends it back to the supervisor's ladder).
     """
-    try:
-        _chaos_gate(task, attempt)
-        _beat(task)
-        dist = _resolve_dist(task)
-        results: list[tuple[int, object]] = []
-        for position, block in enumerate(task.blocks):
-            sources, destinations, rates = _block_arrays(task, position, block)
-            if task.kind == "serve":
-                if task.copies is None:
-                    raise ShardError(f"serve task {task.key} carries no copies")
-                value: object = compute_block_serving(
-                    dist,
-                    sources,
-                    destinations,
-                    rates,
-                    task.copies,
-                    block_index=block.index,
-                    surviving_hosts=task.surviving_hosts,
-                    park_host=task.park_host,
-                )
-            elif task.kind == "agg":
-                value = compute_block_aggregate(
-                    dist,
-                    sources,
-                    destinations,
-                    rates,
-                    block_index=block.index,
-                    block_start=block.start,
-                    surviving_hosts=task.surviving_hosts,
-                    park_host=task.park_host,
-                    mem_budget=task.mem_budget,
-                )
-            else:
-                raise ShardError(f"unknown shard task kind {task.kind!r}")
-            results.append((block.index, value))
-            _beat(task)
-        return ("ok", results)
-    except KeyboardInterrupt:
-        raise
-    except BaseException as exc:
-        return (
-            "err",
-            {
-                "error": repr(exc),
-                "traceback": traceback.format_exc(),
-                "memory": isinstance(exc, MemoryError),
-                "shard_error": isinstance(exc, ShardError),
-                "diagnosis": dict(getattr(exc, "diagnosis", None) or {}),
-            },
-        )
-
-
-# the executors' attempt-aware calling convention (see runtime.executor):
-# the supervisor passes the dispatch attempt so chaos faults stay transient
-run_shard_task.accepts_attempt = True  # type: ignore[attr-defined]
+    dist = _resolve_dist(task)
+    results: list[tuple[int, object]] = []
+    for position, block in enumerate(task.blocks):
+        sources, destinations, rates = _block_arrays(task, position, block)
+        if task.kind == "serve":
+            if task.copies is None:
+                raise ShardError(f"serve task {task.key} carries no copies")
+            value: object = compute_block_serving(
+                dist,
+                sources,
+                destinations,
+                rates,
+                task.copies,
+                block_index=block.index,
+                surviving_hosts=task.surviving_hosts,
+                park_host=task.park_host,
+            )
+        elif task.kind == "agg":
+            value = compute_block_aggregate(
+                dist,
+                sources,
+                destinations,
+                rates,
+                block_index=block.index,
+                block_start=block.start,
+                surviving_hosts=task.surviving_hosts,
+                park_host=task.park_host,
+                mem_budget=task.mem_budget,
+            )
+        else:
+            raise ShardError(f"unknown shard task kind {task.kind!r}")
+        results.append((block.index, value))
+        heartbeat()
+    return results

@@ -248,6 +248,7 @@ def run_replications(
     try:
         results = executor.map(fn, tasks)
     finally:
+        executor.close()
         if export is not None:
             export.close()
     completed = [rep for rep in results if not isinstance(rep, TaskFailure)]

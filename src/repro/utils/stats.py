@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = ["ConfidenceInterval", "mean_ci", "summarize_runs"]
 
@@ -54,7 +53,10 @@ def mean_ci(samples: Sequence[float] | np.ndarray, confidence: float = 0.95) -> 
     if n == 1:
         return ConfidenceInterval(mean=mean, halfwidth=0.0, n=1, confidence=confidence)
     sem = float(arr.std(ddof=1) / np.sqrt(n))
-    tval = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    # scipy.stats costs ~0.8 s to import; only CI computations pay for it
+    from scipy import stats as scipy_stats
+
+    tval = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return ConfidenceInterval(mean=mean, halfwidth=tval * sem, n=n, confidence=confidence)
 
 

@@ -553,6 +553,13 @@ def run_campaign(family: CampaignFamily, config: CampaignConfig) -> dict:
     hits_before = counters().get("journal_hits", 0)
     specs = family.generate(config.seed, cases)
     if config.inject_case is not None:
+        target = next(s for s in specs if s.case_id == config.inject_case)
+        if config.inject_kind == "duplicate" and target.n < 2:
+            raise ReproError(
+                f"inject_case {config.inject_case} places n={target.n} VNF; "
+                "a 'duplicate' injection needs a chain of at least 2, so it "
+                "would corrupt nothing — pick another case"
+            )
         specs = [
             replace(s, inject=config.inject_kind)
             if s.case_id == config.inject_case

@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.placement import dp_placement
 from repro.errors import InfeasibleError
 from repro.faults import FaultConfig, FaultProcess
-from repro.runtime.resilience import ChaosConfig
+from repro.runtime.resilience import ChaosConfig, ResilienceConfig
 from repro.shard import ShardConfig, simulate_day_sharded
 from repro.sim.engine import DayResult, simulate_day
 from repro.sim.policies import (
@@ -180,11 +180,7 @@ class ShardCaseSpec:
         topology, flows, rate_process, faults = self.build()
         placement = dp_placement(topology, flows, self.n).placement
         config = ShardConfig(
-            num_shards=num_shards,
-            block_size=block_size,
-            workers=self.workers,
-            chaos=chaos,
-            backoff_base=0.001,
+            num_shards=num_shards, block_size=block_size, workers=self.workers
         )
         return simulate_day_sharded(
             topology,
@@ -195,6 +191,9 @@ class ShardCaseSpec:
             range(1, self.horizon + 1),
             config=config,
             faults=faults,
+            resilience=ResilienceConfig(
+                max_retries=3, backoff_base=0.001, chaos=chaos
+            ),
         )
 
     def to_dict(self) -> dict:

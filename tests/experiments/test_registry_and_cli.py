@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,7 +130,13 @@ BAD_INPUTS = [
     (["verify", "--family", "nope"], 2),
     (["verify", "--family", "faults", "--inject-case", "0"], EXIT_ERROR),
     (["serve", "--k", "3", "--requests", "2"], EXIT_ERROR),
+    (["serve", "--sfc", "0", "--requests", "2"], EXIT_ERROR),
 ]
+
+#: a well-formed serve run whose every request is infeasible (a chain
+#: longer than fat_tree(2) has switches): exit 0, and the summary line
+#: must still account for each request
+INFEASIBLE_SERVE = ["serve", "--k", "2", "--sfc", "9", "--requests", "2"]
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +144,7 @@ def bad_input_runs(tmp_path_factory):
     """Every bad command line at once, each in a fresh interpreter."""
     cwd = tmp_path_factory.mktemp("cli")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argvs = [argv for argv, _ in BAD_INPUTS] + [INFEASIBLE_SERVE]
     procs = [
         subprocess.Popen(
             [sys.executable, "-m", "repro.cli", *argv],
@@ -146,12 +154,12 @@ def bad_input_runs(tmp_path_factory):
             stderr=subprocess.PIPE,
             text=True,
         )
-        for argv, _ in BAD_INPUTS
+        for argv in argvs
     ]
     runs = {}
-    for (argv, _), proc in zip(BAD_INPUTS, procs):
-        _, stderr = proc.communicate(timeout=120)
-        runs[" ".join(argv)] = (proc.returncode, stderr)
+    for argv, proc in zip(argvs, procs):
+        stdout, stderr = proc.communicate(timeout=120)
+        runs[" ".join(argv)] = (proc.returncode, stderr, stdout)
     return runs
 
 
@@ -159,7 +167,7 @@ def bad_input_runs(tmp_path_factory):
     "argv, code", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS]
 )
 def test_bad_input_exits_without_traceback(bad_input_runs, argv, code):
-    returncode, stderr = bad_input_runs[" ".join(argv)]
+    returncode, stderr, _ = bad_input_runs[" ".join(argv)]
     assert returncode == code, stderr
     assert "Traceback" not in stderr
     if code == EXIT_ERROR:
@@ -168,3 +176,13 @@ def test_bad_input_exits_without_traceback(bad_input_runs, argv, code):
     else:
         assert "usage: repro" in stderr
 
+
+
+def test_serve_summary_accounts_for_every_request(bad_input_runs):
+    returncode, stderr, stdout = bad_input_runs[" ".join(INFEASIBLE_SERVE)]
+    assert returncode == 0, stderr
+    summary = stdout.splitlines()[0]
+    assert summary.startswith("0/2 served")
+    tallies = re.findall(r"(\d+) (?:shed|failed|infeasible)\b", summary)
+    assert "2 infeasible" in summary
+    assert sum(int(n) for n in tallies) == 2

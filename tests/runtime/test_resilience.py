@@ -14,8 +14,8 @@ import pytest
 
 from repro.errors import ReproError, TaskError
 from repro.runtime import instrument
-from repro.runtime.executor import ChaosExecutor, ParallelExecutor, SerialExecutor
-from repro.runtime.journal import Journal
+from repro.runtime.executor import ParallelExecutor, SerialExecutor, heartbeat
+from repro.runtime.journal import Journal, task_fingerprint
 from repro.runtime.resilience import (
     ChaosConfig,
     ResilienceConfig,
@@ -291,6 +291,8 @@ class TestJournalResume:
 
 
 class TestChaosExecutor:
+    """Chaos from ``ResilienceConfig.chaos``, applied by either executor."""
+
     CHAOS = ChaosConfig(
         seed=11,
         crash_rate=0.15,
@@ -301,20 +303,18 @@ class TestChaosExecutor:
 
     def test_results_bit_identical_to_fault_free_serial(self):
         clean = SerialExecutor(ResilienceConfig()).map(square, range(30))
-        config = ResilienceConfig(max_retries=3, **NO_BACKOFF)
-        for inner in (SerialExecutor(config), ParallelExecutor(2, config)):
-            chaotic = ChaosExecutor(inner, self.CHAOS).map(square, range(30))
-            assert chaotic == clean
+        config = ResilienceConfig(max_retries=3, chaos=self.CHAOS, **NO_BACKOFF)
+        for executor in (SerialExecutor(config), ParallelExecutor(2, config)):
+            with executor:
+                assert executor.map(square, range(30)) == clean
 
     def test_fault_schedule_is_seeded_and_deterministic(self):
-        config = ResilienceConfig(max_retries=0, on_failure="skip", **NO_BACKOFF)
-        first = ChaosExecutor(SerialExecutor(config), self.CHAOS).map(
-            square, range(30)
+        config = ResilienceConfig(
+            max_retries=0, on_failure="skip", chaos=self.CHAOS, **NO_BACKOFF
         )
+        first = SerialExecutor(config).map(square, range(30))
         drain_failures()
-        second = ChaosExecutor(SerialExecutor(config), self.CHAOS).map(
-            square, range(30)
-        )
+        second = SerialExecutor(config).map(square, range(30))
         drain_failures()
         failed_first = [r.index for r in first if isinstance(r, TaskFailure)]
         failed_second = [r.index for r in second if isinstance(r, TaskFailure)]
@@ -325,34 +325,33 @@ class TestChaosExecutor:
     def test_all_crash_rate_hits_every_task_once(self):
         instrument.reset()
         chaos = ChaosConfig(seed=1, crash_rate=1.0)
-        config = ResilienceConfig(max_retries=1, **NO_BACKOFF)
-        results = ChaosExecutor(SerialExecutor(config), chaos).map(square, range(5))
+        config = ResilienceConfig(max_retries=1, chaos=chaos, **NO_BACKOFF)
+        results = SerialExecutor(config).map(square, range(5))
         assert results == [0, 1, 4, 9, 16]
         assert instrument.counters()["task_retries"] == 5
 
     def test_injected_timeouts_counted_as_timeouts(self):
         instrument.reset()
         chaos = ChaosConfig(seed=1, timeout_rate=1.0)
-        config = ResilienceConfig(max_retries=1, **NO_BACKOFF)
-        results = ChaosExecutor(SerialExecutor(config), chaos).map(square, range(4))
+        config = ResilienceConfig(max_retries=1, chaos=chaos, **NO_BACKOFF)
+        results = SerialExecutor(config).map(square, range(4))
         assert results == [0, 1, 4, 9]
         assert instrument.counters()["task_timeouts"] == 4
 
     def test_injected_kills_exercise_pool_salvage(self):
         instrument.reset()
         chaos = ChaosConfig(seed=2, kill_rate=0.3)
-        config = ResilienceConfig(max_retries=4, **NO_BACKOFF)
-        results = ChaosExecutor(ParallelExecutor(2, config), chaos).map(
-            square, range(15)
-        )
+        config = ResilienceConfig(max_retries=4, chaos=chaos, **NO_BACKOFF)
+        with ParallelExecutor(2, config) as executor:
+            results = executor.map(square, range(15))
         assert results == [x * x for x in range(15)]
         assert instrument.counters()["pool_restarts"] >= 1
 
     def test_kill_degrades_to_crash_in_parent_process(self):
         # a kill drawn under a serial executor must not os._exit the test
         chaos = ChaosConfig(seed=2, kill_rate=1.0)
-        config = ResilienceConfig(max_retries=1, **NO_BACKOFF)
-        results = ChaosExecutor(SerialExecutor(config), chaos).map(square, range(3))
+        config = ResilienceConfig(max_retries=1, chaos=chaos, **NO_BACKOFF)
+        results = SerialExecutor(config).map(square, range(3))
         assert results == [0, 1, 4]
 
     def test_active_config_chaos_applies_without_explicit_wrapper(self):
@@ -362,8 +361,92 @@ class TestChaosExecutor:
             max_retries=3, chaos=self.CHAOS, **NO_BACKOFF
         )
         with use_resilience(config):
-            results = get_executor(2).map(square, range(12))
+            with get_executor(2) as executor:
+                results = executor.map(square, range(12))
         assert results == [x * x for x in range(12)]
+
+    def test_keys_name_the_fault_draw(self):
+        # with keys, the draw follows the key, not the task content:
+        # identical keys fault identically whatever the payload
+        chaos = ChaosConfig(seed=4, crash_rate=0.5)
+        config = ResilienceConfig(
+            max_retries=0, on_failure="skip", chaos=chaos, **NO_BACKOFF
+        )
+        keys = [f"k{i}" for i in range(20)]
+        first = SerialExecutor(config).map(square, range(20), keys=keys)
+        second = SerialExecutor(config).map(square, range(100, 120), keys=keys)
+        drain_failures()
+        holes = [isinstance(r, TaskFailure) for r in first]
+        assert holes == [isinstance(r, TaskFailure) for r in second]
+        assert 0 < sum(holes) < 20
+
+
+def beating_sleep(task):
+    """Sleep ``seconds`` in ``step`` slices, heartbeating after each if asked."""
+    seconds, step, beat = task
+    for _ in range(round(seconds / step)):
+        time.sleep(step)
+        if beat:
+            heartbeat()
+    return os.getpid()
+
+
+def worker_pid(_task):
+    return os.getpid()
+
+
+class TestSupervisedPool:
+    def test_heartbeats_push_the_deadline_out(self):
+        instrument.reset()
+        config = ResilienceConfig(max_retries=0, task_timeout=0.5, **NO_BACKOFF)
+        with ParallelExecutor(2, config) as executor:
+            results = executor.map(beating_sleep, [(1.0, 0.1, True)])
+        assert isinstance(results[0], int)
+        assert executor.stats["task_timeouts"] == 0
+        assert executor.stats["pool_restarts"] == 0
+        assert executor.stats["dispatched"] == 1
+
+    def test_silent_task_is_killed_and_charged_one_attempt(self):
+        drain_failures()
+        config = ResilienceConfig(
+            max_retries=0, task_timeout=0.5, on_failure="skip", **NO_BACKOFF
+        )
+        with ParallelExecutor(2, config) as executor:
+            results = executor.map(beating_sleep, [(1.0, 0.1, False)])
+        assert isinstance(results[0], TaskFailure) and results[0].timeout
+        assert results[0].attempts == 1
+        assert executor.stats["task_timeouts"] == 1
+        assert executor.stats["pool_restarts"] == 1
+        drain_failures()
+
+    def test_heartbeat_is_a_no_op_in_process(self):
+        heartbeat()  # no pool, no slot: nothing to stamp, nothing raised
+        assert SerialExecutor().map(beating_sleep, [(0.02, 0.01, True)]) == [
+            os.getpid()
+        ]
+
+    def test_one_pool_serves_consecutive_maps(self):
+        with ParallelExecutor(2) as executor:
+            first = set(executor.map(worker_pid, range(8)))
+            second = set(executor.map(worker_pid, range(8)))
+        assert first == second
+        assert os.getpid() not in first
+        assert executor._pool is None  # closed by the with block
+
+    def test_journal_fingerprints_follow_keys(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        config = ResilienceConfig(journal=Journal(path), scope="demo")
+        SerialExecutor(config).map(square, [2, 3], keys=["a", "b"])
+        config.journal.close()
+        assert task_fingerprint("demo", 0, "b") in Journal(path)
+        # same keys, any positions: both resume from the journal
+        resumed = ResilienceConfig(journal=Journal(path), scope="demo")
+        with ParallelExecutor(2, resumed) as executor:
+            results = executor.map(square, [3, 2], keys=["b", "a"])
+        resumed.journal.close()
+        assert results == [9, 4]
+        assert executor.stats["journal_hits"] == 2
+        assert executor.stats["dispatched"] == 0
 
 
 class TestReportIntegration:

@@ -297,6 +297,9 @@ class TestParallelRuns:
             def map(self, fn, tasks):
                 raise RuntimeError("simulated BrokenProcessPool salvage failure")
 
+            def close(self):
+                pass
+
         monkeypatch.setattr(
             runner_mod, "get_executor", lambda *a, **k: ExplodingExecutor()
         )

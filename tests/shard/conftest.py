@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.placement import dp_placement
 from repro.faults import FaultConfig, FaultProcess
+from repro.runtime.resilience import ResilienceConfig
 from repro.shard import ShardConfig, simulate_day_sharded
 from repro.sim.engine import simulate_day
 from repro.sim.policies import (
@@ -23,6 +24,10 @@ from repro.workload import (
     ScaledRates,
     place_vm_pairs,
 )
+
+
+#: DayCase.sharded knobs that belong to the execution policy, not the plan
+RESILIENCE_KNOBS = {"max_retries", "backoff_base", "task_timeout", "chaos"}
 
 
 def canon(day) -> str:
@@ -98,7 +103,10 @@ class DayCase:
         )
 
     def sharded(self, num_shards: int, *, journal=None, **knobs):
-        knobs.setdefault("backoff_base", 0.001)
+        """One sharded day; ``knobs`` mix ShardConfig and ResilienceConfig fields."""
+        policy = {"max_retries": 3, "backoff_base": 0.001}
+        for name in RESILIENCE_KNOBS & knobs.keys():
+            policy[name] = knobs.pop(name)
         report: dict = {}
         day = simulate_day_sharded(
             self.topology,
@@ -110,6 +118,7 @@ class DayCase:
             config=ShardConfig(num_shards=num_shards, **knobs),
             faults=self.make_faults(),
             journal=journal,
+            resilience=ResilienceConfig(**policy),
             report=report,
         )
         return day, report

@@ -13,7 +13,7 @@ from .conftest import DayCase, canon
 pytestmark = pytest.mark.shard
 
 #: generous wall-clock leash: kills force pool rebuilds and stalls burn
-#: a watchdog timeout each, so the chaos run is legitimately slower —
+#: a task timeout each, so the chaos run is legitimately slower —
 #: but it must terminate, not thrash forever on a retry loop
 SOAK_CEILING_SECONDS = 180.0
 
@@ -48,7 +48,7 @@ class TestChaosSoak:
         )
         start = time.monotonic()
         day, report = soak_case.sharded(
-            4, workers=2, block_size=16, chaos=chaos, stall_timeout=0.4
+            4, workers=2, block_size=16, chaos=chaos, task_timeout=0.4
         )
         elapsed = time.monotonic() - start
         assert canon(day) == canon(clean)

@@ -99,7 +99,7 @@ class TestShardedLoop:
             InterruptingRates(case.rate_process, at_hour=3),
             case.placement,
             case.hours,
-            config=ShardConfig(num_shards=2, backoff_base=0.001),
+            config=ShardConfig(num_shards=2),
         )
         assert partial.extra["interrupted"] is True
         assert len(partial.records) == 2
@@ -120,7 +120,7 @@ class TestShardedLoop:
                 case.rate_process,
                 case.placement,
                 case.hours,
-                config=ShardConfig(num_shards=2, backoff_base=0.001),
+                config=ShardConfig(num_shards=2),
                 journal=journal,
             )
         assert partial.extra["interrupted"] is True

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,13 +37,19 @@ class TestShardConfig:
             {"block_size": 0},
             {"workers": 0},
             {"mem_budget": 0},
-            {"stall_timeout": 0.0},
-            {"max_retries": -1},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ShardError):
             ShardConfig(**kwargs)
+
+    def test_execution_policy_is_not_a_shard_knob(self):
+        # retries, timeouts and chaos live in ResilienceConfig only
+        assert [f.name for f in dataclasses.fields(ShardConfig)] == [
+            "num_shards", "block_size", "workers", "mem_budget"
+        ]
+        with pytest.raises(TypeError):
+            ShardConfig(max_retries=3)
 
     def test_defaults_are_valid(self):
         config = ShardConfig()

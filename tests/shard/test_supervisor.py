@@ -1,4 +1,4 @@
-"""Supervision mechanics: journal salvage, degradation ladder, watchdog."""
+"""Supervision mechanics: journal salvage, degradation ladder, timeouts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ import pytest
 import repro.shard.supervisor as supervisor_module
 from repro.errors import ShardError
 from repro.runtime.journal import Journal
-from repro.runtime.resilience import ChaosConfig
+from repro.runtime.resilience import ChaosConfig, ResilienceConfig, use_resilience
+from repro.shard import ShardConfig
+from repro.sim.engine import set_sharding
 
 from .conftest import DayCase, canon
 
@@ -67,22 +69,12 @@ class TestDegradationLadder:
         real = supervisor_module.run_shard_task
         breached: set[str] = set()
 
-        def breach_once(task, attempt=0):
+        def breach_once(task):
             if len(task.blocks) > 1 and task.key not in breached:
                 breached.add(task.key)
-                return (
-                    "err",
-                    {
-                        "error": "MemoryError()",
-                        "traceback": "",
-                        "memory": True,
-                        "shard_error": False,
-                        "diagnosis": {},
-                    },
-                )
-            return real(task, attempt)
+                raise MemoryError()
+            return real(task)
 
-        breach_once.accepts_attempt = True
         monkeypatch.setattr(supervisor_module, "run_shard_task", breach_once)
         day, report = case.sharded(1, block_size=3)
         assert canon(day) == want
@@ -120,6 +112,30 @@ class TestRetryBudget:
         assert report["retries"] > 0
 
 
+class TestActivePolicy:
+    def test_set_sharding_days_follow_the_active_policy(self, case):
+        # a routed day takes its retry budget from the active
+        # ResilienceConfig (what `repro run --max-retries` installs)
+        want = canon(case.unsharded())
+        crash = ChaosConfig(seed=1, crash_rate=1.0, faulty_attempts=1)
+        previous = set_sharding(ShardConfig(num_shards=2))
+        try:
+            with use_resilience(ResilienceConfig(max_retries=0, chaos=crash)):
+                with pytest.raises(ShardError) as err:
+                    case.unsharded()
+            with use_resilience(
+                ResilienceConfig(max_retries=3, backoff_base=0.001, chaos=crash)
+            ):
+                got = canon(case.unsharded())
+        finally:
+            set_sharding(previous)
+        diagnosis = err.value.diagnosis
+        assert {"task", "shard", "hour", "attempts", "error"} <= diagnosis.keys()
+        assert diagnosis["attempts"] == 1
+        assert "ChaosError" in diagnosis["error"]
+        assert got == want
+
+
 class TestWatchdog:
     def test_stalled_worker_is_killed_and_redispatched(self):
         case = DayCase(num_flows=12, horizon=2)
@@ -127,7 +143,7 @@ class TestWatchdog:
         chaos = ChaosConfig(seed=1, delay_rate=1.0, delay_seconds=5.0,
                             faulty_attempts=1)
         day, report = case.sharded(
-            2, workers=2, chaos=chaos, stall_timeout=0.3
+            2, workers=2, chaos=chaos, task_timeout=0.3
         )
         assert canon(day) == want
         assert report["stalls"] > 0

@@ -27,7 +27,13 @@ from repro.core.costs import CostContext
 from repro.core.migration import mpareto_migration
 from repro.core.optimal import optimal_placement
 from repro.core.placement import dp_placement
-from repro.errors import GraphError, PlacementError, ReproError, WorkloadError
+from repro.errors import (
+    GraphError,
+    PlacementError,
+    ReproError,
+    TopologyError,
+    WorkloadError,
+)
 from repro.graphs.adjacency import CostGraph
 from repro.runtime import instrument
 from repro.runtime.resilience import ChaosConfig, ResilienceConfig
@@ -78,19 +84,30 @@ class TestWrongTopology:
 
 
 class TestDisconnectedFabric:
-    def test_placement_on_disconnected_graph_fails(self):
+    @staticmethod
+    def _split_topology(**kwargs):
         graph = CostGraph(
             ["h1", "h2", "s1", "s2"], [(0, 2, 1.0), (1, 3, 1.0)]
         )
-        topo = Topology(
+        return Topology(
             name="split",
             graph=graph,
             hosts=[0, 1],
             switches=[2, 3],
             host_edge_switch=[2, 3],
+            **kwargs,
         )
+
+    def test_disconnected_switch_layer_rejected_at_construction(self):
+        with pytest.raises(TopologyError):
+            self._split_topology()
+
+    def test_placement_on_disconnected_graph_fails(self):
+        # admitted like a fault-degraded view, the split fabric still
+        # cannot carry a chain across its two components
+        topo = self._split_topology(meta={"allow_disconnected": True})
         flows = FlowSet(sources=[0], destinations=[1], rates=[1.0])
-        with pytest.raises(ReproError):
+        with pytest.raises(PlacementError):
             dp_placement(topo, flows, 2)
 
 

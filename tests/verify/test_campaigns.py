@@ -8,7 +8,8 @@ import json
 import pytest
 
 from repro.cli import EXIT_ERROR, main
-from repro.verify import CAMPAIGNS
+from repro.errors import ReproError
+from repro.verify import CAMPAIGNS, CampaignConfig, run_campaign
 
 
 @pytest.mark.parametrize("name", list(CAMPAIGNS))
@@ -55,3 +56,11 @@ def test_bad_campaign_input_is_one_error_line(argv, capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "r.json").exists()
 
+
+
+def test_duplicate_injection_refuses_a_one_vnf_case():
+    # core case 3 @ seed 0 places n=1: a 'duplicate' corruption would
+    # leave it untouched and the self-test would prove nothing
+    config = CampaignConfig(cases=30, inject_case=3, inject_kind="duplicate")
+    with pytest.raises(ReproError, match="inject_case 3"):
+        run_campaign(CAMPAIGNS["core"], config)
